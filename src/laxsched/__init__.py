@@ -7,7 +7,7 @@ core      -- requests, flow state, laxity arithmetic
 capacity  -- multi-user diversity gains and the polymatroid region
 channel   -- Rayleigh/Shannon normalized rate sampling
 traffic   -- request generators and the truncated-lognormal size law
-policies  -- fluid laxity-ranked allocation, heuristic framework, baselines
+policies  -- fluid laxity-ranked allocation; framework and baseline TDM policies
 engine    -- slotted fluid/TDM simulation loops, laxity-history tracking
 oracle    -- LP schedulability decision with replayable witnesses
 cli       -- config-driven experiment runner (``laxsched`` entry point)
@@ -24,10 +24,11 @@ from .core import (
     DownloadRequest,
     FlowState,
     FlowStatus,
-    SimConfig,
     advance_flow,
     common_deadline,
     expected_laxity,
+    first_slot_at_or_after,
+    validate_requests,
     virtual_expected_laxity,
 )
 from .engine import (
@@ -41,7 +42,6 @@ from .engine import (
     least_laxity_floor,
     run_fluid,
     run_tdm,
-    update_ult,
 )
 from .oracle import (
     FeasibilityProblem,
@@ -57,10 +57,6 @@ from .policies import (
     FrameworkParams,
     LogUrgency,
     MaxWeightUrgency,
-    baseline_edf,
-    baseline_llf,
-    baseline_max_ci,
-    framework_select,
     l2hpr_allocate,
     make_policy,
     urgency_exp,

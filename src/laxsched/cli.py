@@ -199,11 +199,10 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("slot_length must be > 0 (omit or set 0 for the default rule)")
 
     for name in policies:
-        if name in ("l-maxweight", "l-exp", "l-log"):
-            try:
-                _framework_params(name, overrides)
-            except ValueError as exc:
-                raise ConfigError(f"invalid parameters for {name}: {exc}") from exc
+        try:
+            _framework_params(name, overrides)
+        except ValueError as exc:
+            raise ConfigError(f"invalid parameters for {name}: {exc}") from exc
 
     default_k_max = max(15, user_count or 0)
     return ExperimentConfig(
@@ -227,7 +226,9 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     )
 
 
-def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams:
+def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams | None:
+    """The framework parameters of policy ``name`` with the config's
+    overrides applied; None for policies that take none."""
     if name == "l-maxweight":
         urgency = MaxWeightUrgency(alpha=overrides.get("alpha", 1.0))
     elif name == "l-exp":
@@ -242,7 +243,7 @@ def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams
             zeta=overrides.get("log_zeta", 10.0),
         )
     else:
-        raise ConfigError(f"{name!r} takes no framework parameters")
+        return None
     return FrameworkParams(
         urgency=urgency,
         delta=overrides.get("delta", -2.0),
@@ -251,16 +252,9 @@ def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams
     )
 
 
-def _build_policy(name: str, overrides: dict[str, float]):
-    if name in ("max-ci", "edf", "llf"):
-        return make_policy(name)
-    return make_policy(name, _framework_params(name, overrides))
-
-
-def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile | None:
-    needs = config.mode == "fluid"
-    if not needs:
-        return None
+def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile:
+    """The configured gain table, or one estimated from the config's channel
+    under the base seed; it must cover the configured user count."""
     if config.gains_path:
         profile = GainProfile.load(config.gains_path)
     else:
@@ -270,7 +264,7 @@ def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile | No
             config.gains_samples,
             child_seed(base_seed, 0xFADE),
         )
-    if config.user_count and profile.k_max < config.user_count:
+    if profile.k_max < config.user_count:
         raise ConfigError(
             f"gain profile k_max={profile.k_max} below user_count={config.user_count}"
         )
@@ -328,11 +322,10 @@ def _run_cell(payload) -> list[tuple]:
         if name == "l2hpr":
             report = run_fluid(requests, gains, dt, record_trace=bool(trace_dir))
         else:
-            policy = _build_policy(name, config.framework_overrides)
             report = run_tdm(
                 requests,
                 config.channel,
-                policy,
+                make_policy(name, _framework_params(name, config.framework_overrides)),
                 dt,
                 seed=child_seed(base_seed, si, rep, 1),
                 record_trace=bool(trace_dir),
@@ -356,7 +349,10 @@ def _run_cell(payload) -> list[tuple]:
     return results
 
 
-def _run_cells(config: ExperimentConfig, gains, base_seed: int, jobs: int, trace_dir):
+def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
+    gains = _resolve_gains(config, base_seed) if config.mode == "fluid" else None
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
     payloads = [
         (config, gains, base_seed, si, sweep_value, rep, trace_dir)
         for si, sweep_value in enumerate(config.sweep_values)
@@ -369,13 +365,9 @@ def _run_cells(config: ExperimentConfig, gains, base_seed: int, jobs: int, trace
 
 
 def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, trace: bool) -> None:
-    gains = _resolve_gains(config, base_seed)
-    trace_dir = None
-    if trace:
-        trace_dir = f"{out_path}.traces"
-        os.makedirs(trace_dir, exist_ok=True)
+    trace_dir = f"{out_path}.traces" if trace else None
     lines = [RUN_HEADER]
-    for cell in _run_cells(config, gains, base_seed, jobs, trace_dir):
+    for cell in _run_cells(config, base_seed, jobs, trace_dir):
         for sweep_value, rep, seed, name, n, done, expired, sched in cell:
             viol = expired / n if n else 0.0
             lines.append(
@@ -386,18 +378,10 @@ def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, 
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int) -> None:
+def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) -> None:
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
-    if config.gains_path:
-        gains = GainProfile.load(config.gains_path)
-    else:
-        gains = estimate_gains(
-            config.channel.mean_sinr,
-            max(config.gains_k_max, config.user_count),
-            config.gains_samples,
-            child_seed(base_seed, 0xFADE),
-        )
+    gains = _resolve_gains(config, base_seed)
     lines = [ORACLE_HEADER]
     for si, sweep_value in enumerate(config.sweep_values):
         for rep in range(config.replications):
@@ -465,8 +449,7 @@ def cmd_reproduce(
     totals: dict[tuple[float, str], list[int]] = {}
     first_seen: dict[tuple[float, str], int] = {}
     for config in configs:
-        gains = _resolve_gains(config, base_seed)
-        for cell in _run_cells(config, gains, base_seed, jobs, None):
+        for cell in _run_cells(config, base_seed, jobs):
             for sweep_value, rep, seed, name, n, done, expired, sched in cell:
                 key = (sweep_value, name)
                 if key not in totals:
@@ -535,6 +518,13 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must fit in 64 unsigned bits")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        # reject the flags a command would otherwise ignore
+        if args.trace and args.command != "run":
+            raise ConfigError(f"--trace applies only to run, not {args.command}")
+        if args.jobs > 1 and args.command in ("gains", "oracle-check"):
+            raise ConfigError(f"{args.command} runs serially; --jobs must be 1")
+        if args.config and args.command == "reproduce":
+            raise ConfigError("reproduce runs fixed presets and takes no --config")
         kv = load_config(args.config) if args.config else {}
         if args.command == "gains":
             cmd_gains(kv, args.out, args.seed)
@@ -545,7 +535,7 @@ def main(argv=None) -> int:
         elif args.command == "oracle-check":
             if not args.config:
                 raise ConfigError("oracle-check needs --config")
-            cmd_oracle_check(build_experiment_config(kv), args.out, args.seed, args.jobs)
+            cmd_oracle_check(build_experiment_config(kv), args.out, args.seed)
         elif args.command == "reproduce":
             if args.replications < 1:
                 raise ConfigError("--replications must be >= 1")

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "FlowStatus",
     "DownloadRequest",
     "FlowState",
-    "SimConfig",
+    "validate_requests",
+    "first_slot_at_or_after",
     "expected_laxity",
     "virtual_expected_laxity",
     "advance_flow",
@@ -77,25 +79,6 @@ class FlowState:
         return self.request.user_id
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Slotted-time run parameters."""
-
-    slot_length: float
-    horizon: float
-    rng_seed: int
-
-    def __post_init__(self) -> None:
-        if not self.slot_length > 0.0:
-            raise ValueError("slot_length must be > 0")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
-        if self.slot_length > self.horizon:
-            raise ValueError("slot_length must not exceed horizon")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError("rng_seed must fit in 64 unsigned bits")
-
-
 def expected_laxity(flow: FlowState, slot_index: int, slot_length: float, g1: float) -> float:
     """Time the user can cede to others before its own task becomes infeasible
     at full single-user rate: D - n*dt - F/g1. May be negative.
@@ -133,6 +116,34 @@ def common_deadline(items: Iterable[DownloadRequest | FlowState]) -> float:
     if deadline is None:
         raise ValueError("empty batch has no common deadline")
     return deadline
+
+
+def validate_requests(
+    requests: Sequence[DownloadRequest], same_deadline: bool = False
+) -> None:
+    """Reject a request set that cannot be keyed by user: duplicate user ids,
+    and with ``same_deadline`` deadlines that differ (see ``common_deadline``).
+
+    Raises ValueError naming the offending ids or deadlines.
+    """
+    counts = Counter(r.user_id for r in requests)
+    if len(counts) != len(requests):
+        dupes = sorted(u for u, c in counts.items() if c > 1)
+        raise ValueError(f"duplicate user_id(s) {dupes}")
+    if same_deadline:
+        common_deadline(requests)
+
+
+def first_slot_at_or_after(t: float, slot_length: float) -> int:
+    """The smallest slot index n >= 0 whose boundary n*slot_length, as
+    computed in floating point, is at or after t (t >= 0, slot_length > 0).
+
+    ``t // slot_length`` alone can fall one short: 0.3 // 0.1 == 2.0.
+    """
+    n = int(t // slot_length)
+    while n * slot_length < t:
+        n += 1
+    return n
 
 
 def advance_flow(flow: FlowState, rate: float, slot_length: float) -> FlowState:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .capacity import GainProfile
 from .channel import ChannelModel
-from .core import DownloadRequest, FlowStatus, common_deadline
+from .core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
 from .policies import _l2hpr_rates
 from .seeding import generator_from
 
@@ -28,7 +27,6 @@ __all__ = [
     "TraceRecord",
     "UserOutcome",
     "SimReport",
-    "update_ult",
     "least_laxity_set",
     "laxity_order_check",
     "least_laxity_floor",
@@ -134,12 +132,6 @@ class UltTracker:
             for b in targets:
                 mat[index[a], index[b]] = True
         return ids, mat
-
-
-def update_ult(tracker: UltTracker, virtual_laxities: Mapping[int, float]) -> UltTracker:
-    """Record one slot's laxity order into the tracker (in place) and return it."""
-    tracker.update(virtual_laxities)
-    return tracker
 
 
 def least_laxity_set(
@@ -287,15 +279,13 @@ def run_fluid(
         raise ValueError("slot_length must be > 0")
     if not requests:
         return SimReport(outcomes={}, trace=[] if record_trace else None)
-    deadline = common_deadline(requests)
-    id_counts = Counter(r.user_id for r in requests)
-    if len(id_counts) != len(requests):
-        dupes = sorted(u for u, c in id_counts.items() if c > 1)
-        raise ValueError(f"duplicate user_id(s) {dupes}")
+    validate_requests(requests, same_deadline=True)
+    deadline = requests[0].deadline
     tol = 1e-9 * deadline
     order_limit = slot_length + tol
 
     pending = sorted(requests, key=lambda r: (r.arrival_time, r.user_id))
+    admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in pending]
     residual: dict[int, float] = {}  # every arrived user, in arrival order
     active: list[int] = []  # users still being served, ascending id
     outcomes: dict[int, UserOutcome] = {}
@@ -308,7 +298,7 @@ def run_fluid(
     n = 0
     while True:
         t = n * slot_length
-        while next_req < len(pending) and pending[next_req].arrival_time <= t:
+        while next_req < len(pending) and admit_slot[next_req] <= n:
             uid = pending[next_req].user_id
             residual[uid] = pending[next_req].initial_size
             insort(active, uid)
@@ -398,19 +388,21 @@ def run_tdm(
 ) -> SimReport:
     """Slotted TDM run: one user served per nonempty slot at its sampled rate.
 
-    Deadlines may differ. Per slot: admit arrivals, drop expired users, draw
-    one normalized rate per active user (ascending user id order), let the
-    policy choose, and advance only the chosen flow. Fixed seed gives a
-    bit-identical report.
+    User ids must be distinct; deadlines may differ. Per slot: admit
+    arrivals, drop expired users, draw one normalized rate per active user
+    (ascending user id order), let the policy choose, and advance only the
+    chosen flow. Fixed seed gives a bit-identical report.
     """
     if slot_length <= 0.0:
         raise ValueError("slot_length must be > 0")
+    validate_requests(requests)
     ordered = sorted(requests, key=lambda r: (r.arrival_time, r.user_id))
     outcomes: dict[int, UserOutcome] = {}
     trace: list[TraceRecord] | None = [] if record_trace else None
     if not ordered:
         return SimReport(outcomes=outcomes, trace=trace)
 
+    admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
     stream = _ExpStream(generator_from(seed), channel.mean_sinr)
     rate_scale = 1.0 / (_LN2 * channel.spectral_efficiency)
 
@@ -421,7 +413,7 @@ def run_tdm(
     n = 0
     while active or next_req < len(ordered):
         t = n * slot_length
-        while next_req < len(ordered) and ordered[next_req].arrival_time <= t:
+        while next_req < len(ordered) and admit_slot[next_req] <= n:
             req = ordered[next_req]
             residual[req.user_id] = req.initial_size
             deadline_of[req.user_id] = req.deadline
@@ -435,12 +427,7 @@ def run_tdm(
         if not active:
             if next_req >= len(ordered):
                 break
-            # jump to the slot admitting the next arrival
-            arrival = ordered[next_req].arrival_time
-            skip = int(arrival // slot_length)
-            while skip * slot_length < arrival:
-                skip += 1
-            n = max(n + 1, skip)
+            n = admit_slot[next_req]  # idle until the next admission
             continue
 
         gammas = stream.take(len(active))

@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 
 from .capacity import GainProfile
 from .channel import ChannelModel
-from .core import DownloadRequest, common_deadline
+from .core import DownloadRequest, common_deadline, validate_requests
 from .engine import run_fluid, run_tdm
 from .seeding import child_seed, generator_from
 from .traffic import FileSizeLaw, IdenticalDeadlineSpec, gen_identical_deadline
@@ -59,7 +59,8 @@ class FeasibilityProblem:
         reqs = tuple(sorted(requests, key=lambda r: r.user_id))
         if not reqs:
             raise ValueError("need at least one request")
-        deadline = common_deadline(reqs)
+        validate_requests(reqs, same_deadline=True)
+        deadline = reqs[0].deadline
         if len(reqs) > gains.k_max:
             raise ValueError(
                 f"{len(reqs)} users exceed gain profile k_max={gains.k_max}"

@@ -2,18 +2,22 @@
 laxity-threshold heuristic framework with three urgency functions, and the
 Max C/I, EDF, and LLF baselines.
 
-Every tie anywhere is broken by the smallest user id. Rates passed in here
-are already normalized (mean 1), so the default per-user weight kappa is 1.
+Every TDM rule is a policy object built by ``make_policy`` with one method,
+``select_arrays(uids, laxities, rates, deadlines)``, which takes the active
+users as parallel sequences in ascending user-id order and returns the user
+to serve (None for an empty queue). Every tie anywhere is broken by the
+smallest user id. Rates passed in here are already normalized (mean 1), so
+the default per-user weight kappa is 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .capacity import GainProfile
-from .core import FlowState, FlowStatus, common_deadline, expected_laxity
+from .core import FlowState, FlowStatus, common_deadline
 
 __all__ = [
     "MaxWeightUrgency",
@@ -24,10 +28,6 @@ __all__ = [
     "urgency_exp",
     "urgency_log",
     "l2hpr_allocate",
-    "framework_select",
-    "baseline_max_ci",
-    "baseline_edf",
-    "baseline_llf",
     "FrameworkPolicy",
     "MaxCiPolicy",
     "EdfPolicy",
@@ -131,12 +131,6 @@ def urgency_log(laxity: float, beta: float, zeta: float, epsilon: float) -> floa
     return 1.0 / math.log(arg)
 
 
-def _active_sorted(flows: Sequence[FlowState]) -> list[FlowState]:
-    out = [f for f in flows if f.status is FlowStatus.ACTIVE]
-    out.sort(key=lambda f: f.user_id)
-    return out
-
-
 def _l2hpr_rates(
     uids: Sequence[int], laxities: Sequence[float], gains: GainProfile
 ) -> dict[int, float]:
@@ -181,116 +175,8 @@ def l2hpr_allocate(
     )
 
 
-def _select_framework(
-    uids: Sequence[int],
-    laxities: Sequence[float],
-    rates: Sequence[float],
-    params: FrameworkParams,
-) -> int | None:
-    """Core of the framework rule on parallel arrays sorted by user id."""
-    if not uids:
-        return None
-    plus = [i for i in range(len(uids)) if laxities[i] >= params.delta]
-    kappa = params.kappa
-    best_uid = None
-    best_w = -math.inf
-    if plus:
-        urg = params.urgency
-        eps = params.epsilon
-        if isinstance(urg, MaxWeightUrgency):
-            for i in plus:
-                w = kappa * rates[i] * urgency_maxweight(laxities[i], urg.alpha, eps)
-                if w > best_w:
-                    best_w, best_uid = w, uids[i]
-        elif isinstance(urg, ExpUrgency):
-            lbar = sum(urg.beta * max(laxities[i], eps) for i in plus) / len(plus)
-            for i in plus:
-                w = kappa * rates[i] * urgency_exp(
-                    laxities[i], urg.beta, urg.zeta, urg.eta, lbar, eps
-                )
-                if w > best_w:
-                    best_w, best_uid = w, uids[i]
-        else:
-            for i in plus:
-                w = kappa * rates[i] * urgency_log(laxities[i], urg.beta, urg.zeta, eps)
-                if w > best_w:
-                    best_w, best_uid = w, uids[i]
-        return best_uid
-    for i in range(len(uids)):
-        w = kappa * rates[i]
-        if w > best_w:
-            best_w, best_uid = w, uids[i]
-    return best_uid
-
-
-def _arrays_from_flows(
-    flows: Sequence[FlowState],
-    rates: Mapping[int, float] | None,
-    slot_index: int,
-    slot_length: float,
-    g1: float,
-):
-    active = _active_sorted(flows)
-    uids = [f.user_id for f in active]
-    laxities = [expected_laxity(f, slot_index, slot_length, g1) for f in active]
-    rate_list = [rates[u] for u in uids] if rates is not None else None
-    deadlines = [f.request.deadline for f in active]
-    return uids, laxities, rate_list, deadlines
-
-
-def framework_select(
-    flows: Sequence[FlowState],
-    rates: Mapping[int, float],
-    params: FrameworkParams,
-    slot_index: int,
-    slot_length: float,
-    g1: float = 1.0,
-) -> int | None:
-    """One TDM slot decision: among users with laxity >= delta pick the
-    largest kappa*R*U(L); if none remain, fall back to the highest rate."""
-    uids, lax, rate_list, _ = _arrays_from_flows(flows, rates, slot_index, slot_length, g1)
-    return _select_framework(uids, lax, rate_list, params)
-
-
-def baseline_max_ci(
-    flows: Sequence[FlowState], rates: Mapping[int, float]
-) -> int | None:
-    """Greedy: serve the user with the highest instantaneous rate."""
-    best_uid, best_r = None, -math.inf
-    for f in _active_sorted(flows):
-        r = rates[f.user_id]
-        if r > best_r:
-            best_r, best_uid = r, f.user_id
-    return best_uid
-
-
-def baseline_edf(flows: Sequence[FlowState]) -> int | None:
-    """Channel-oblivious: earliest deadline first."""
-    best_uid, best_d = None, math.inf
-    for f in _active_sorted(flows):
-        d = f.request.deadline
-        if d < best_d:
-            best_d, best_uid = d, f.user_id
-    return best_uid
-
-
-def baseline_llf(
-    flows: Sequence[FlowState],
-    slot_index: int,
-    slot_length: float,
-    g1: float = 1.0,
-) -> int | None:
-    """Channel-oblivious: least expected laxity first."""
-    best_uid, best_l = None, math.inf
-    for f in _active_sorted(flows):
-        lax = expected_laxity(f, slot_index, slot_length, g1)
-        if lax < best_l:
-            best_l, best_uid = lax, f.user_id
-    return best_uid
-
-
 class FrameworkPolicy:
-    """TDM policy wrapping the framework rule with a fixed parameter set."""
+    """TDM policy: the framework rule with a fixed parameter set."""
 
     def __init__(self, params: FrameworkParams):
         self.params = params
@@ -301,7 +187,40 @@ class FrameworkPolicy:
         }[type(params.urgency)]
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
-        return _select_framework(uids, laxities, rates, self.params)
+        """Among users with laxity >= delta pick the largest kappa*R*U(L); if
+        none remain, fall back to the highest kappa*R."""
+        params = self.params
+        plus = [i for i in range(len(uids)) if laxities[i] >= params.delta]
+        kappa = params.kappa
+        best_uid = None
+        best_w = -math.inf
+        if plus:
+            urg = params.urgency
+            eps = params.epsilon
+            if isinstance(urg, MaxWeightUrgency):
+                for i in plus:
+                    w = kappa * rates[i] * urgency_maxweight(laxities[i], urg.alpha, eps)
+                    if w > best_w:
+                        best_w, best_uid = w, uids[i]
+            elif isinstance(urg, ExpUrgency):
+                lbar = sum(urg.beta * max(laxities[i], eps) for i in plus) / len(plus)
+                for i in plus:
+                    w = kappa * rates[i] * urgency_exp(
+                        laxities[i], urg.beta, urg.zeta, urg.eta, lbar, eps
+                    )
+                    if w > best_w:
+                        best_w, best_uid = w, uids[i]
+            else:
+                for i in plus:
+                    w = kappa * rates[i] * urgency_log(laxities[i], urg.beta, urg.zeta, eps)
+                    if w > best_w:
+                        best_w, best_uid = w, uids[i]
+            return best_uid
+        for i in range(len(uids)):
+            w = kappa * rates[i]
+            if w > best_w:
+                best_w, best_uid = w, uids[i]
+        return best_uid
 
 
 class MaxCiPolicy:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .core import DownloadRequest
+from .core import DownloadRequest, validate_requests
 
 __all__ = [
     "BITS_PER_MB",
@@ -179,6 +179,7 @@ def write_requests(path, requests) -> None:
 
 
 def read_requests(path) -> list[DownloadRequest]:
+    """Trace import; rejects a missing header and duplicate user ids."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != REQUEST_HEADER:
@@ -187,4 +188,5 @@ def read_requests(path) -> list[DownloadRequest]:
     for line in lines[1:]:
         uid, arrival, size, deadline = line.split(",")
         requests.append(DownloadRequest(int(uid), float(arrival), float(size), float(deadline)))
+    validate_requests(requests)
     return requests

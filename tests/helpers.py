@@ -158,3 +158,20 @@ def lognormal_truncated_mean(log_mu: float, log_sigma: float, cap: float) -> flo
     num = math.exp(log_mu + s2 / 2.0) * norm.cdf((math.log(cap) - log_mu - s2) / log_sigma)
     den = norm.cdf((math.log(cap) - log_mu) / log_sigma)
     return num / den
+
+
+def framework_choice(uids, laxities, rates, urgency, delta=-2.0, epsilon=1e-3):
+    """The laxity-threshold rule written from its definition: among users
+    with laxity >= delta serve the largest rate * urgency, else the largest
+    rate; the smallest id wins ties. ``urgency`` maps the clamped laxities
+    max(L, epsilon) of the users at or above delta to their urgencies."""
+    plus = [i for i, lax in enumerate(laxities) if lax >= delta]
+    if plus:
+        weights = urgency([max(laxities[i], epsilon) for i in plus])
+        scores = {uids[i]: rates[i] * w for i, w in zip(plus, weights)}
+    else:
+        scores = dict(zip(uids, rates))
+    if not scores:
+        return None
+    best = max(scores.values())
+    return min(u for u, score in scores.items() if score == best)

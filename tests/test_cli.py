@@ -40,8 +40,8 @@ def fluid_config_text(gains_path, **overrides):
         "replications": "3",
         "gains.path": str(gains_path),
     }
-    base.update(overrides)
-    return "\n".join(f"{k} = {v}" for k, v in base.items())
+    base.update(overrides)  # an override of None drops the key
+    return "\n".join(f"{k} = {v}" for k, v in base.items() if v is not None)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ class TestCmdOracleCheck:
         text = fluid_config_text(gains_file, **{"sweep.values": "2,10000"})
         cfg = build_experiment_config(parse_config_text(text))
         out = tmp_path / "oracle.csv"
-        cmd_oracle_check(cfg, out, base_seed=2, jobs=1)
+        cmd_oracle_check(cfg, out, base_seed=2)
         lines = out.read_text().splitlines()
         assert lines[0] == "sweep_value,replication,feasible,borderline"
         rows = [ln.split(",") for ln in lines[1:]]
@@ -188,7 +188,7 @@ class TestCmdOracleCheck:
     def test_rejects_stationary(self, tmp_path):
         cfg = build_experiment_config(parse_config_text(tdm_config_text()))
         with pytest.raises(ConfigError):
-            cmd_oracle_check(cfg, tmp_path / "x.csv", base_seed=1, jobs=1)
+            cmd_oracle_check(cfg, tmp_path / "x.csv", base_seed=1)
 
 
 class TestMainEntry:
@@ -229,6 +229,58 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "fig9z", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2  # argparse invalid choice
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gains", "--config", "CFG", "--trace"],
+            ["oracle-check", "--config", "CFG", "--trace"],
+            ["reproduce", "fig3b", "--replications", "1", "--trace"],
+            ["gains", "--config", "CFG", "--jobs", "2"],
+            ["oracle-check", "--config", "CFG", "--jobs", "2"],
+            ["reproduce", "fig3b", "--replications", "1", "--config", "CFG"],
+        ],
+        ids=[
+            "gains-trace",
+            "oracle-check-trace",
+            "reproduce-trace",
+            "gains-jobs",
+            "oracle-check-jobs",
+            "reproduce-config",
+        ],
+    )
+    def test_ignored_flags_rejected(self, tmp_path, gains_file, capsys, argv):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fluid_config_text(gains_file, **{"gains.samples": "20000"}))
+        out = tmp_path / "x.csv"
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gains", "run", "oracle-check", "reproduce"])
+    def test_jobs_one_accepted(self, tmp_path, gains_file, command):
+        cfg = tmp_path / "cfg.txt"
+        if command == "run":
+            cfg.write_text(tdm_config_text())
+        else:
+            text = fluid_config_text(gains_file, **{"sweep.values": "50", "replications": "1"})
+            cfg.write_text(text + "\ngains.k_max = 4\ngains.samples = 20000\n")
+        if command == "reproduce":
+            head = ["reproduce", "fig3b", "--replications", "1"]
+        else:
+            head = [command, "--config", str(cfg)]
+        out = tmp_path / "x.csv"
+        assert main([*head, "--out", str(out), "--jobs", "1"]) == 0
+        assert out.exists()
+
+    def test_oracle_check_k_max_below_user_count_is_config_error(self, tmp_path, gains_file):
+        cfg = tmp_path / "cfg.txt"
+        # an estimated profile (no gains.path) of k_max 3 for 4 users
+        overrides = {"gains.path": None, "gains.k_max": "3", "gains.samples": "20000"}
+        cfg.write_text(fluid_config_text(gains_file, **overrides))
+        code = main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
 
     def test_gains_via_main(self, tmp_path):
         out = tmp_path / "g.csv"

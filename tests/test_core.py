@@ -1,17 +1,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxsched.core import (
     DownloadRequest,
     FlowState,
     FlowStatus,
-    SimConfig,
     advance_flow,
     common_deadline,
     expected_laxity,
+    first_slot_at_or_after,
     virtual_expected_laxity,
 )
 
@@ -60,16 +60,17 @@ class TestFlowState:
             FlowState(req, 1.0, FlowStatus.COMPLETED)
 
 
-class TestSimConfig:
-    def test_valid(self):
-        SimConfig(0.1, 100.0, 42)
-
-    @pytest.mark.parametrize(
-        "args", [(0.0, 10.0, 1), (0.1, 0.0, 1), (5.0, 1.0, 1), (0.1, 10.0, -1)]
-    )
-    def test_invalid(self, args):
-        with pytest.raises(ValueError):
-            SimConfig(*args)
+class TestFirstSlot:
+    @given(t=st.floats(0.0, 1e6), dt=st.floats(1e-6, 1e3))
+    @example(t=0.3, dt=0.1)  # 0.3 // 0.1 == 2.0, but 2 * 0.1 < 0.3
+    @example(t=0.0, dt=0.1)
+    @example(t=0.7, dt=0.1)
+    @example(t=1.0, dt=0.25)
+    @settings(max_examples=300, deadline=None)
+    def test_first_boundary_at_or_after(self, t, dt):
+        n = first_slot_at_or_after(t, dt)
+        assert n >= 0 and n * dt >= t
+        assert n == 0 or (n - 1) * dt < t
 
 
 class TestExpectedLaxity:

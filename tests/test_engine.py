@@ -14,7 +14,6 @@ from laxsched.engine import (
     least_laxity_floor,
     run_fluid,
     run_tdm,
-    update_ult,
 )
 from laxsched.policies import l2hpr_allocate, make_policy
 from laxsched.seeding import generator_from
@@ -58,11 +57,6 @@ class TestUltTracker:
         t.update({1: 4.0, 2: 4.0, 3: 1.0})
         assert t.ult(3, 1) and t.ult(3, 2)
         assert not t.ult(1, 3) and not t.ult(2, 3)
-
-    def test_update_ult_wrapper(self):
-        t = UltTracker()
-        out = update_ult(t, {1: 2.0, 2: 3.0})
-        assert out is t and t.ult(1, 2)
 
     def test_matrices(self):
         t = UltTracker()
@@ -289,6 +283,11 @@ class TestRunFluid:
 
 
 class TestRunTdm:
+    def test_duplicate_user_ids_rejected(self):
+        reqs = [req(1, 0.0, 1.0, 50.0), req(1, 0.0, 1.0, 60.0)]
+        with pytest.raises(ValueError, match=r"duplicate user_id\(s\) \[1\]"):
+            run_tdm(reqs, CHANNEL, make_policy("edf"), 0.1, seed=1)
+
     def test_empty_requests(self):
         rep = run_tdm([], CHANNEL, make_policy("max-ci"), 0.1, seed=1)
         assert rep.n_users == 0

@@ -43,6 +43,11 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             problem([req(1, 0.0, 1.0, 10.0), req(2, 0.0, 1.0, 11.0)])
 
+    def test_duplicate_user_ids_rejected(self):
+        reqs = [req(1, 0.0, 1.0, 10.0), req(1, 0.0, 2.0, 10.0)]
+        with pytest.raises(ValueError, match=r"duplicate user_id\(s\) \[1\]"):
+            problem(reqs)
+
     def test_too_many_users_rejected(self):
         reqs = [req(i + 1, 0.0, 0.5, 10.0) for i in range(GAINS.k_max + 1)]
         with pytest.raises(ValueError):

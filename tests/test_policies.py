@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxsched.capacity import GainProfile
@@ -16,16 +16,14 @@ from laxsched.policies import (
     LogUrgency,
     MaxCiPolicy,
     MaxWeightUrgency,
-    baseline_edf,
-    baseline_llf,
-    baseline_max_ci,
-    framework_select,
     l2hpr_allocate,
     make_policy,
     urgency_exp,
     urgency_log,
     urgency_maxweight,
 )
+
+from helpers import framework_choice
 
 # frozen from independent high-precision evaluation (mpmath, 40 digits)
 EXP_URGENCY_EXAMPLE = 0.7461018060799022  # exp(-0.5 / (1 + sqrt(0.5)))
@@ -48,6 +46,18 @@ def flows_with_deadlines(pairs):
         FlowState.new(DownloadRequest(i + 1, 0.0, size, d))
         for i, (size, d) in enumerate(pairs)
     ]
+
+
+def select(policy, sizes, rates=None, deadlines=10.0):
+    """One slot-0 decision for users 1..m with the given sizes: with g1 = 1
+    each laxity is deadline - size. Rates default to 1, and ``deadlines`` is
+    one common deadline or one per user."""
+    m = len(sizes)
+    if not isinstance(deadlines, list):
+        deadlines = [deadlines] * m
+    rates = [1.0] * m if rates is None else rates
+    laxities = [d - s for d, s in zip(deadlines, sizes)]
+    return policy.select_arrays(list(range(1, m + 1)), laxities, rates, deadlines)
 
 
 class TestUrgencyMaxWeight:
@@ -114,16 +124,31 @@ class TestFrameworkParams:
         l1=st.floats(1e-3, 1e3),
         l2=st.floats(1e-3, 1e3),
     )
+    @example(l1=0.001, l2=0.0010000000000000002)  # one exp urgency for both
     @settings(max_examples=200, deadline=None)
     def test_all_urgencies_strictly_decreasing(self, l1, l2):
-        if l1 == l2:
-            return
+        # Each urgency is a monotone function of an exponent: -alpha*ln L for
+        # l-maxweight, the exponent of l-exp, ln(zeta + beta*L) for l-log.
+        # Laxities whose exponents lie within a few ulps of each other may
+        # give one double, so in floating point the property is: never
+        # increasing, and strictly decreasing once the exponents are apart.
         lo, hi = min(l1, l2), max(l1, l2)
-        assert urgency_maxweight(lo, 1.0, 1e-3) > urgency_maxweight(hi, 1.0, 1e-3)
-        assert urgency_exp(lo, 0.05, 1.0, 0.5, 0.7, 1e-3) > urgency_exp(
-            hi, 0.05, 1.0, 0.5, 0.7, 1e-3
-        )
-        assert urgency_log(lo, 10.0, 10.0, 1e-3) > urgency_log(hi, 10.0, 10.0, 1e-3)
+        cases = [
+            (lambda lax: urgency_maxweight(lax, 1.0, 1e-3), lambda lax: -math.log(lax)),
+            (
+                lambda lax: urgency_exp(lax, 0.05, 1.0, 0.5, 0.7, 1e-3),
+                lambda lax: -0.05 * lax / (1.0 + 0.7**0.5),
+            ),
+            (
+                lambda lax: urgency_log(lax, 10.0, 10.0, 1e-3),
+                lambda lax: math.log(10.0 + 10.0 * lax),
+            ),
+        ]
+        for urgency, exponent in cases:
+            assert urgency(lo) >= urgency(hi)
+            x_lo, x_hi = exponent(lo), exponent(hi)
+            if abs(x_lo - x_hi) > 8 * math.ulp(max(abs(x_lo), abs(x_hi), 1.0)):
+                assert urgency(lo) > urgency(hi)
 
 
 class TestL2hprAllocate:
@@ -184,111 +209,94 @@ class TestFrameworkSelect:
     def params(self, **kw):
         return FrameworkParams(urgency=MaxWeightUrgency(alpha=kw.pop("alpha", 1.0)), **kw)
 
+    def policy(self):
+        return make_policy("l-maxweight", self.params())
+
     def test_urgent_user_wins_at_equal_rates(self):
-        flows = flows_from([5.0, 9.0])  # laxities 5 and 1
-        rates = {1: 1.0, 2: 1.0}
-        assert framework_select(flows, rates, self.params(), 0, 0.1) == 2
+        # laxities 5 and 1
+        assert select(self.policy(), [5.0, 9.0], [1.0, 1.0]) == 2
 
     def test_maxweight_ratio_rule(self):
         # all laxities above delta: pick max R / clamped L
-        flows = flows_from([2.0, 6.0])  # laxities 8 and 4
-        rates = {1: 1.0, 2: 0.6}
-        # weights: 1/8 = 0.125 vs 0.6/4 = 0.15
-        assert framework_select(flows, rates, self.params(), 0, 0.1) == 2
+        # laxities 8 and 4; weights: 1/8 = 0.125 vs 0.6/4 = 0.15
+        assert select(self.policy(), [2.0, 6.0], [1.0, 0.6]) == 2
 
     def test_fallback_serves_highest_rate(self):
-        flows = flows_from([30.0, 40.0])  # laxities -20 and -30, both below delta
-        rates = {1: 0.4, 2: 0.9}
-        assert framework_select(flows, rates, self.params(), 0, 0.1) == 2
+        # laxities -20 and -30, both below delta
+        assert select(self.policy(), [30.0, 40.0], [0.4, 0.9]) == 2
 
     def test_tie_smallest_id(self):
-        flows = flows_from([5.0, 5.0])
-        rates = {1: 1.0, 2: 1.0}
-        assert framework_select(flows, rates, self.params(), 0, 0.1) == 1
+        assert select(self.policy(), [5.0, 5.0], [1.0, 1.0]) == 1
 
     def test_empty_queue(self):
-        assert framework_select([], {}, self.params(), 0, 0.1) is None
+        assert select(self.policy(), []) is None
 
     def test_exp_group_mean_over_plus_group_only(self):
         # user 3 sits below delta and must not enter the group mean
         params = FrameworkParams(urgency=ExpUrgency(beta=0.05, zeta=1.0, eta=0.5))
-        flows = flows_from([4.0, 8.0, 40.0])  # laxities 6, 2, -30
-        rates = {1: 1.0, 2: 1.0, 3: 5.0}
         lbar = (0.05 * 6.0 + 0.05 * 2.0) / 2.0
         w1 = urgency_exp(6.0, 0.05, 1.0, 0.5, lbar, 1e-3)
         w2 = urgency_exp(2.0, 0.05, 1.0, 0.5, lbar, 1e-3)
         expected = 1 if w1 > w2 else 2
-        assert framework_select(flows, rates, params, 0, 0.1) == expected
+        # laxities 6, 2, -30
+        policy = make_policy("l-exp", params)
+        assert select(policy, [4.0, 8.0, 40.0], [1.0, 1.0, 5.0]) == expected
 
     def test_scale_invariance_of_rates(self):
         rng = np.random.default_rng(11)
-        params = FrameworkParams(urgency=LogUrgency())
+        policy = make_policy("l-log", FrameworkParams(urgency=LogUrgency()))
         for _ in range(50):
             sizes = rng.uniform(0.5, 15.0, size=5).tolist()
             base = rng.uniform(0.1, 3.0, size=5)
-            flows = flows_from(sizes, deadline=12.0)
-            r1 = {i + 1: float(base[i]) for i in range(5)}
-            r2 = {i + 1: float(base[i]) * 7.3 for i in range(5)}
-            assert framework_select(flows, r1, params, 0, 0.1) == framework_select(
-                flows, r2, params, 0, 0.1
-            )
+            r1 = [float(b) for b in base]
+            r2 = [float(b) * 7.3 for b in base]
+            assert select(policy, sizes, r1, 12.0) == select(policy, sizes, r2, 12.0)
 
     def test_degenerate_parameters_reduce_to_max_ci(self):
         # delta -> -inf puts everyone in the tradeoff group; alpha -> 0 makes
         # the urgency flat, so the rule degenerates to the greedy baseline
         rng = np.random.default_rng(23)
-        params = FrameworkParams(
-            urgency=MaxWeightUrgency(alpha=1e-12), delta=-1e18
-        )
+        policy = make_policy("l-maxweight", self.params(alpha=1e-12, delta=-1e18))
+        greedy = make_policy("max-ci")
         for _ in range(200):
             m = int(rng.integers(1, 7))
             sizes = rng.uniform(0.5, 30.0, size=m).tolist()
-            flows = flows_from(sizes, deadline=8.0)
             distinct = rng.permutation(np.arange(1, 41))[:m] / 10.0
-            rates = {i + 1: float(distinct[i]) for i in range(m)}
-            assert framework_select(flows, rates, params, 0, 0.1) == baseline_max_ci(
-                flows, rates
-            )
+            rates = [float(r) for r in distinct]
+            assert select(policy, sizes, rates, 8.0) == select(greedy, sizes, rates, 8.0)
 
 
 class TestBaselines:
     def test_max_ci_argmax(self):
-        flows = flows_from([1.0, 1.0, 1.0])
-        assert baseline_max_ci(flows, {1: 0.3, 2: 0.9, 3: 0.5}) == 2
+        assert select(make_policy("max-ci"), [1.0, 1.0, 1.0], [0.3, 0.9, 0.5]) == 2
 
     def test_max_ci_single(self):
-        flows = flows_from([1.0])
-        assert baseline_max_ci(flows, {1: 0.1}) == 1
+        assert select(make_policy("max-ci"), [1.0], [0.1]) == 1
 
     def test_max_ci_tie(self):
-        flows = flows_from([1.0, 1.0])
-        assert baseline_max_ci(flows, {1: 0.5, 2: 0.5}) == 1
+        assert select(make_policy("max-ci"), [1.0, 1.0], [0.5, 0.5]) == 1
 
     def test_max_ci_empty(self):
-        assert baseline_max_ci([], {}) is None
+        assert select(make_policy("max-ci"), []) is None
 
     def test_edf(self):
-        flows = flows_with_deadlines([(1.0, 10.0), (1.0, 7.0), (1.0, 9.0)])
-        assert baseline_edf(flows) == 2
+        assert select(make_policy("edf"), [1.0, 1.0, 1.0], deadlines=[10.0, 7.0, 9.0]) == 2
 
     def test_edf_tie(self):
-        flows = flows_with_deadlines([(1.0, 7.0), (1.0, 7.0)])
-        assert baseline_edf(flows) == 1
+        assert select(make_policy("edf"), [1.0, 1.0], deadlines=[7.0, 7.0]) == 1
 
     def test_edf_empty(self):
-        assert baseline_edf([]) is None
+        assert select(make_policy("edf"), []) is None
 
     def test_llf(self):
         # laxities 6, -1, 2
-        flows = flows_from([4.0, 11.0, 8.0])
-        assert baseline_llf(flows, 0, 0.1) == 2
+        assert select(make_policy("llf"), [4.0, 11.0, 8.0]) == 2
 
     def test_llf_tie(self):
-        flows = flows_from([4.0, 4.0])
-        assert baseline_llf(flows, 0, 0.1) == 1
+        assert select(make_policy("llf"), [4.0, 4.0]) == 1
 
     def test_llf_empty(self):
-        assert baseline_llf([], 0, 0.1) is None
+        assert select(make_policy("llf"), []) is None
 
 
 class TestPolicyObjects:
@@ -310,18 +318,27 @@ class TestPolicyObjects:
             make_policy("l-log", FrameworkParams(urgency=ExpUrgency()))
 
     def test_array_path_matches_flow_path(self):
+        # every framework policy against the rule written from its definition
+        # (tests/helpers.py), with the published parameters
+        def exp_urgency(clamped):
+            lbar = sum(0.05 * c for c in clamped) / len(clamped)
+            return [math.exp(-0.05 * c / (1.0 + lbar**0.5)) for c in clamped]
+
+        urgencies = {
+            "l-maxweight": lambda clamped: [c**-1.0 for c in clamped],
+            "l-exp": exp_urgency,
+            "l-log": lambda clamped: [1.0 / math.log(10.0 + 10.0 * c) for c in clamped],
+        }
         rng = np.random.default_rng(31)
-        params = FrameworkParams(urgency=LogUrgency())
-        policy = FrameworkPolicy(params)
-        for _ in range(50):
-            m = int(rng.integers(1, 6))
-            sizes = rng.uniform(0.5, 20.0, size=m).tolist()
-            flows = flows_from(sizes, deadline=9.0)
-            rates = {i + 1: float(r) for i, r in enumerate(rng.uniform(0.05, 3.0, size=m))}
-            uids = [f.user_id for f in flows]
-            lax = [9.0 - sizes[i] for i in range(m)]
-            rlist = [rates[u] for u in uids]
-            dlist = [9.0] * m
-            assert policy.select_arrays(uids, lax, rlist, dlist) == framework_select(
-                flows, rates, params, 0, 0.1
-            )
+        for name, urgency in urgencies.items():
+            policy = make_policy(name)
+            for _ in range(50):
+                m = int(rng.integers(1, 6))
+                uids = list(range(1, m + 1))
+                lax = [9.0 - s for s in rng.uniform(0.5, 20.0, size=m).tolist()]
+                rates = rng.uniform(0.05, 3.0, size=m).tolist()
+                if m > 1 and rng.random() < 0.5:  # an exact tie between users 1 and m
+                    lax[-1], rates[-1] = lax[0], rates[0]
+                assert policy.select_arrays(uids, lax, rates, [9.0] * m) == framework_choice(
+                    uids, lax, rates, urgency
+                )

@@ -1,0 +1,37 @@
+"""Tooling checks against stale names: every exported name resolves, and
+every name the demos import from laxsched exists. The demos are parsed, not
+run, because some of them take many seconds."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import laxsched
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(laxsched.__path__) if m.name != "__main__")
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"laxsched.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"laxsched.{name}.__all__ lists undefined names {missing}"
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_exist(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "laxsched":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert not missing, f"{demo.name} imports undefined names {missing}"

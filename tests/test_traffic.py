@@ -194,6 +194,12 @@ class TestRequestIO:
         with pytest.raises(ValueError):
             read_requests(path)
 
+    def test_duplicate_user_ids_rejected(self, tmp_path):
+        path = tmp_path / "dupes.csv"
+        write_requests(path, [DownloadRequest(1, 0.0, 2.0, 10.0), DownloadRequest(1, 1.0, 2.0, 12.0)])
+        with pytest.raises(ValueError, match=r"duplicate user_id\(s\) \[1\]"):
+            read_requests(path)
+
     def test_header_written(self, tmp_path):
         path = tmp_path / "t.csv"
         write_requests(path, [DownloadRequest(1, 0.0, 2.0, 10.0)])
