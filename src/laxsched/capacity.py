@@ -82,9 +82,11 @@ class GainProfile:
         return True
 
     def to_table(self) -> str:
-        """Plain-text "k,g_k" table with 12 significant digits."""
+        """Plain-text "k,g_k" table with 17 significant digits, which
+        round-trips every double exactly, so ``from_table`` gives back the
+        same gains and accepts every table a valid profile writes."""
         lines = ["k,g_k"]
-        lines += [f"{k},{g:.12g}" for k, g in enumerate(self.gains)]
+        lines += [f"{k},{g:.17g}" for k, g in enumerate(self.gains)]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -204,7 +204,6 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid parameters for {name}: {exc}") from exc
 
-    default_k_max = max(15, user_count or 0)
     return ExperimentConfig(
         mode=mode,
         traffic_kind=kind,
@@ -221,9 +220,15 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         law=law,
         channel=channel,
         gains_path=kv.get("gains.path"),
-        gains_k_max=_get(kv, "gains.k_max", int, default_k_max),
+        gains_k_max=_get(kv, "gains.k_max", int, _default_k_max(user_count)),
         gains_samples=_get(kv, "gains.samples", int, 200_000),
     )
+
+
+def _default_k_max(user_count: int | None) -> int:
+    """Gain table size when gains.k_max is not set: enough for the
+    configured batch, and at least 15."""
+    return max(15, user_count or 0)
 
 
 def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams | None:
@@ -291,20 +296,31 @@ def _slot_length(config: ExperimentConfig, sweep_value: float) -> float:
 
 
 def _write_trace(path: str, report: SimReport) -> None:
+    """One row per (slot, user): the fluid rows cover the served users and
+    give their rates, the TDM rows cover the active users and flag the one
+    chosen. Floats are written with 12 significant digits."""
     lines = [TRACE_HEADER]
+    add = lines.append
+    rate_text: dict[float, str] = {}  # fluid rates are marginal gains: few values
     for rec in report.trace or []:
-        if isinstance(rec.decision, dict):  # fluid: per-user allocated rate
-            for uid in sorted(rec.decision):
-                in_lls = int(rec.least_laxity_set is not None and uid in rec.least_laxity_set)
-                lines.append(
-                    f"{rec.slot_index},{uid},{rec.residuals[uid]:.12g},"
-                    f"{rec.virtual_laxities[uid]:.12g},{in_lls},{rec.decision[uid]:.12g}"
+        head = f"{rec.slot_index},"
+        residuals, laxities, decision = rec.residuals, rec.virtual_laxities, rec.decision
+        if isinstance(decision, dict):  # fluid: per-user allocated rate
+            lls = rec.least_laxity_set or ()
+            for uid in sorted(decision):
+                rate = decision[uid]
+                text = rate_text.get(rate)
+                if text is None:
+                    text = rate_text[rate] = "%.12g" % rate
+                add(
+                    "%s%d,%.12g,%.12g,%d,%s"
+                    % (head, uid, residuals[uid], laxities[uid], uid in lls, text)
                 )
         else:  # tdm: chosen-user flag
-            for uid in sorted(rec.residuals):
-                lines.append(
-                    f"{rec.slot_index},{uid},{rec.residuals[uid]:.12g},"
-                    f"{rec.virtual_laxities[uid]:.12g},0,{int(rec.decision == uid)}"
+            for uid in sorted(residuals):
+                add(
+                    "%s%d,%.12g,%.12g,0,%d"
+                    % (head, uid, residuals[uid], laxities[uid], uid == decision)
                 )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -396,7 +412,8 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
 
 
 def cmd_gains(kv: dict[str, str], out_path: str, seed: int) -> None:
-    k_max = _get(kv, "gains.k_max", int, 15)
+    user_count = _get(kv, "traffic.user_count", int, 0)
+    k_max = _get(kv, "gains.k_max", int, _default_k_max(user_count))
     samples = _get(kv, "gains.samples", int, 200_000)
     mean_sinr = _get(kv, "channel.mean_sinr", float, 1.0)
     profile = estimate_gains(mean_sinr, k_max, samples, seed)

@@ -44,94 +44,199 @@ class UltTracker:
     ult(a, b) is set once a's virtual laxity was <= b's at any slot boundary
     so far, and never cleared. iult is reachability through such pairs. The
     diagonal is always set (a laxity is <= itself).
+
+    Layout: every user owns one bit, numbered in the order users were first
+    seen. Three lists indexed by that bit position hold int masks: the users
+    a holds ult towards (``_direct``), the users a reaches (``_down``, iult
+    from a) and the users reaching b (``_up``, iult into b). A slot's update
+    sorts its laxities once and ORs each user's at-or-above suffix into its
+    direct mask; the closure grows only by the newly set bits. ``reaching``
+    returns one frozenset per distinct mask, cached. ``direct_pairs`` yields
+    a in first-seen order, then b in first-seen order.
     """
 
-    __slots__ = ("_direct", "_down", "_up", "_missing")
+    __slots__ = ("_index", "_ids", "_direct", "_down", "_up", "_missing", "_sets")
 
     def __init__(self) -> None:
-        self._direct: dict[int, set[int]] = {}
-        self._down: dict[int, set[int]] = {}
-        self._up: dict[int, set[int]] = {}
+        self._index: dict[int, int] = {}  # user id -> bit position
+        self._ids: list[int] = []  # bit position -> user id
+        self._direct: list[int] = []
+        self._down: list[int] = []
+        self._up: list[int] = []
         # ordered pairs of distinct users not yet in the direct relation
         self._missing = 0
+        self._sets: dict[int, frozenset[int]] = {}  # mask -> its user ids
 
     def users(self) -> list[int]:
-        return sorted(self._direct)
+        return sorted(self._ids)
 
     def ensure(self, uid: int) -> None:
-        if uid not in self._direct:
-            self._missing += 2 * len(self._direct)
-            self._direct[uid] = {uid}
-            self._down[uid] = {uid}
-            self._up[uid] = {uid}
+        if uid not in self._index:
+            pos = len(self._ids)
+            self._missing += 2 * pos
+            self._index[uid] = pos
+            self._ids.append(uid)
+            bit = 1 << pos
+            self._direct.append(bit)
+            self._down.append(bit)
+            self._up.append(bit)
 
-    def _add(self, a: int, b: int) -> None:
-        """Record ult(a, b), which must not be set yet."""
-        self._direct[a].add(b)
-        self._missing -= 1
-        down = self._down
-        if b in down[a]:
-            return
-        new_reach = down[b] | {b}
-        up = self._up
-        for p in up[a] | {a}:
-            gained = new_reach - down[p]
-            if gained:
-                down[p] |= gained
-                for q in gained:
-                    up[q].add(p)
+    def _members(self, mask: int) -> frozenset[int]:
+        members = self._sets.get(mask)
+        if members is None:
+            ids = self._ids
+            members = self._sets[mask] = frozenset(ids[p] for p in _bits(mask))
+        return members
 
-    def update(self, virtual_laxities: Mapping[int, float]) -> None:
-        """Fold one slot's laxities into the relation (both directions on
-        ties). Edge additions commute, so iteration order is irrelevant."""
-        direct = self._direct
-        for uid in virtual_laxities:
-            if uid not in direct:
-                self.ensure(uid)
+    def _fold(self, ranked: list[tuple[float, int, int]], everyone: int) -> None:
+        """Give every ranked user ult towards each ranked user at or above
+        its laxity: everyone (the mask of the ranked users) except the tie
+        groups strictly below it."""
         if not self._missing:  # every pair already holds both ways
             return
-        items = list(virtual_laxities.items())
-        for i, (u1, l1) in enumerate(items):
-            d1 = direct[u1]
-            for u2, l2 in items[i + 1 :]:
-                if l1 <= l2 and u2 not in d1:
-                    self._add(u1, u2)
-                if l2 <= l1 and u1 not in direct[u2]:
-                    self._add(u2, u1)
+        direct = self._direct
+        at_or_above = everyone
+        group = 0
+        prev = None
+        for lax, _, a in ranked:
+            if lax != prev:
+                at_or_above &= ~group
+                group = 0
+                prev = lax
+            group |= 1 << a
+            new = at_or_above & ~direct[a]
+            if new:
+                self._link(a, new)
+
+    def _link(self, a: int, new: int) -> None:
+        """Record ult(a, b) for every b in mask ``new`` (none set yet) and
+        extend the closure by the newly reached bits only. The users reaching
+        a are unchanged by edges out of a, so one pass over them suffices."""
+        self._direct[a] |= new
+        self._missing -= new.bit_count()
+        down = self._down
+        fresh = new & ~down[a]
+        if not fresh:
+            return
+        reach = 0
+        for b in _bits(fresh):
+            reach |= down[b]
+        up = self._up
+        for p in _bits(up[a]):
+            gained = reach & ~down[p]
+            if gained:
+                down[p] |= gained
+                bit = 1 << p
+                for q in _bits(gained):
+                    up[q] |= bit
+
+    def _violations(
+        self, ranked: list[tuple[float, int, int]], limit: float
+    ) -> list[tuple[int, int]]:
+        """Pairs (a, b) with ult(a, b) and la - lb > limit among the ranked
+        users, sorted by (a, b)."""
+        n = len(ranked)
+        if n < 2 or not ranked[-1][0] - ranked[0][0] > limit:
+            return []  # no pair is further apart than the whole spread
+        # ``below`` is a two-pointer window over the users more than limit
+        # below a. It is widened by a slack far above rounding error, so no
+        # pair can fall out of it, and each candidate is re-tested with the
+        # exact expression.
+        slack = 1e-12 * (abs(limit) + max(abs(ranked[0][0]), abs(ranked[-1][0])))
+        shift = limit - slack
+        direct = self._direct
+        found = []
+        below = 0
+        j = 0
+        lj = ranked[0][0]
+        for la, a_uid, a in ranked:
+            edge = la - shift
+            while lj < edge:
+                below |= 1 << ranked[j][2]
+                j += 1
+                lj = ranked[j][0] if j < n else math.inf
+            candidates = direct[a] & below & ~(1 << a)
+            if candidates:
+                for lb, b_uid, b in ranked[:j]:
+                    if candidates >> b & 1 and la - lb > limit:
+                        found.append((a_uid, b_uid))
+        found.sort()
+        return found
+
+    def _step(
+        self, virtual_laxities: Mapping[int, float], limit: float
+    ) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
+        """One traced slot on one sort: fold the laxities in and return the
+        least-laxity user (smallest id on ties), the users reaching it and
+        the order violations. ``virtual_laxities`` must list every user seen
+        so far, in the order first seen, before any new user; an arrival-
+        ordered map of every arrived user does."""
+        uids = list(virtual_laxities)
+        seen = len(self._ids)
+        if uids[:seen] != self._ids:
+            raise ValueError("laxities must list the known users first, in first-seen order")
+        for uid in uids[seen:]:
+            self.ensure(uid)
+        n = len(uids)
+        ranked = sorted(zip(virtual_laxities.values(), uids, range(n)))
+        self._fold(ranked, (1 << n) - 1)
+        star = ranked[0][1]
+        return star, self._members(self._up[ranked[0][2]]), self._violations(ranked, limit)
+
+    def update(self, virtual_laxities: Mapping[int, float]) -> None:
+        """Fold one slot's laxities into the relation: each user gains ult
+        towards every user at or above its laxity (both ways on ties)."""
+        for uid in virtual_laxities:
+            self.ensure(uid)
+        index = self._index
+        ranked = sorted([(lax, uid, index[uid]) for uid, lax in virtual_laxities.items()])
+        self._fold(ranked, sum(1 << pos for _, _, pos in ranked))
 
     def reaching(self, b: int) -> frozenset[int]:
         """Every user a with iult(a, b), b itself included once known."""
-        return frozenset(self._up.get(b, ()))
+        pos = self._index.get(b)
+        return frozenset() if pos is None else self._members(self._up[pos])
 
     def ult(self, a: int, b: int) -> bool:
-        return b in self._direct.get(a, ())
+        return self._has(self._direct, a, b)
 
     def iult(self, a: int, b: int) -> bool:
-        return b in self._down.get(a, ())
+        return self._has(self._down, a, b)
+
+    def _has(self, masks: list[int], a: int, b: int) -> bool:
+        pa, pb = self._index.get(a), self._index.get(b)
+        return pa is not None and pb is not None and bool(masks[pa] >> pb & 1)
 
     def direct_pairs(self):
-        for a, targets in self._direct.items():
-            for b in targets:
-                if a != b:
-                    yield a, b
+        """Every ult(a, b) with a != b: a in first-seen order, then b in
+        first-seen order."""
+        ids = self._ids
+        for pa, mask in enumerate(self._direct):
+            for pb in _bits(mask & ~(1 << pa)):
+                yield ids[pa], ids[pb]
 
     def ult_matrix(self) -> tuple[list[int], np.ndarray]:
-        ids = self.users()
-        index = {u: i for i, u in enumerate(ids)}
-        mat = np.zeros((len(ids), len(ids)), dtype=bool)
-        for a, targets in self._direct.items():
-            for b in targets:
-                mat[index[a], index[b]] = True
-        return ids, mat
+        return self._matrix(self._direct)
 
     def closure_matrix(self) -> tuple[list[int], np.ndarray]:
+        return self._matrix(self._down)
+
+    def _matrix(self, masks: list[int]) -> tuple[list[int], np.ndarray]:
         ids = self.users()
-        index = {u: i for i, u in enumerate(ids)}
+        row = {u: i for i, u in enumerate(ids)}
         mat = np.zeros((len(ids), len(ids)), dtype=bool)
-        for a, targets in self._down.items():
-            for b in targets:
-                mat[index[a], index[b]] = True
+        for pa, mask in enumerate(masks):
+            for pb in _bits(mask):
+                mat[row[self._ids[pa]], row[self._ids[pb]]] = True
         return ids, mat
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def least_laxity_set(
@@ -152,16 +257,17 @@ def laxity_order_check(
     tol: float = 0.0,
 ) -> list[tuple[int, int]]:
     """Pairs (i1, i2) with i1 used-to-be-less-than i2 whose laxity difference
-    exceeds one slot length (plus tolerance). Expected empty under the fluid
-    policy; nonempty output flags a violated invariant."""
-    limit = slot_length + tol
-    violations = []
-    for a, b in tracker.direct_pairs():
-        la = virtual_laxities.get(a)
-        lb = virtual_laxities.get(b)
-        if la is not None and lb is not None and la - lb > limit:
-            violations.append((a, b))
-    return violations
+    exceeds one slot length (plus tolerance), sorted by (i1, i2). Expected
+    empty under the fluid policy; nonempty output flags a violated invariant.
+
+    One sort of the laxities; a two-pointer walk over it gives the mask of
+    users far enough below each i1, ANDed with i1's direct mask. Users the
+    tracker has not seen have no pairs."""
+    index = tracker._index
+    ranked = sorted(
+        [(lax, uid, index[uid]) for uid, lax in virtual_laxities.items() if uid in index]
+    )
+    return tracker._violations(ranked, slot_length + tol)
 
 
 def least_laxity_floor(
@@ -315,30 +421,12 @@ def run_fluid(
         )
 
         if record_trace and residual:
-            # one pass: laxities, the least-laxity user (smallest id on
-            # ties) and the laxity spread
-            laxities: dict[int, float] = {}
-            star = None
-            lo = hi = 0.0
-            for uid, left in residual.items():
-                lax = deadline - left / g1
-                laxities[uid] = lax
-                if star is None:
-                    star, lo, hi = uid, lax, lax
-                elif lax < lo or (lax == lo and uid < star):
-                    star, lo = uid, lax
-                elif lax > hi:
-                    hi = lax
-            tracker.update(laxities)
-            # no pair can be a slot apart when the whole spread is within one
-            if hi - lo > order_limit:
-                violations.extend(
-                    (n, a, b) for a, b in laxity_order_check(tracker, laxities, slot_length, tol)
-                )
+            laxities = {uid: deadline - left / g1 for uid, left in residual.items()}
+            star, lls, pairs = tracker._step(laxities, order_limit)
+            if pairs:
+                violations.extend((n, a, b) for a, b in pairs)
             trace.append(  # positional: keyword passing costs more than the record
-                TraceRecord(
-                    n, t, dict(residual), laxities, star, tracker.reaching(star), allocation
-                )
+                TraceRecord(n, t, dict(residual), laxities, star, lls, allocation)
             )
 
         if not active and next_req == len(pending):

@@ -175,3 +175,67 @@ def framework_choice(uids, laxities, rates, urgency, delta=-2.0, epsilon=1e-3):
         return None
     best = max(scores.values())
     return min(u for u, score in scores.items() if score == best)
+
+
+class ReferenceUlt:
+    """The used-to-be-less-than relation straight from its definition: ult is
+    the union over the slots seen of {(a, b): l_a <= l_b}, and iult its
+    reflexive transitive closure by Warshall's algorithm."""
+
+    def __init__(self):
+        self.users: list[int] = []
+        self.direct: set[tuple[int, int]] = set()
+
+    def update(self, laxities):
+        for a in laxities:
+            if a not in self.users:
+                self.users.append(a)
+        for a, la in laxities.items():
+            for b, lb in laxities.items():
+                if la <= lb:
+                    self.direct.add((a, b))
+
+    def closure(self) -> set[tuple[int, int]]:
+        reach = {a: {a} | {b for x, b in self.direct if x == a} for a in self.users}
+        for k in self.users:
+            for i in self.users:
+                if k in reach[i]:
+                    reach[i] |= reach[k]
+        return {(a, b) for a in self.users for b in reach[a]}
+
+    def least_laxity_set(self, laxities) -> set[int]:
+        star = min(laxities, key=lambda u: (laxities[u], u))
+        closure = self.closure()
+        return {star} | {a for a in laxities if (a, star) in closure}
+
+    def order_violations(self, laxities, limit) -> set[tuple[int, int]]:
+        return {
+            (a, b)
+            for a, b in self.direct
+            if a != b and a in laxities and b in laxities and laxities[a] - laxities[b] > limit
+        }
+
+
+TRACE_HEADER = "slot,user_id,residual,virtual_laxity,in_LLS,decision"
+
+
+def reference_write_trace(path, report) -> None:
+    """The trace writer as first written, one f-string per row: the byte-for-
+    byte reference for the CLI's writer."""
+    lines = [TRACE_HEADER]
+    for rec in report.trace or []:
+        if isinstance(rec.decision, dict):  # fluid: per-user allocated rate
+            for uid in sorted(rec.decision):
+                in_lls = int(rec.least_laxity_set is not None and uid in rec.least_laxity_set)
+                lines.append(
+                    f"{rec.slot_index},{uid},{rec.residuals[uid]:.12g},"
+                    f"{rec.virtual_laxities[uid]:.12g},{in_lls},{rec.decision[uid]:.12g}"
+                )
+        else:  # tdm: chosen-user flag
+            for uid in sorted(rec.residuals):
+                lines.append(
+                    f"{rec.slot_index},{uid},{rec.residuals[uid]:.12g},"
+                    f"{rec.virtual_laxities[uid]:.12g},0,{int(rec.decision == uid)}"
+                )
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

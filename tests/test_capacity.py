@@ -150,6 +150,16 @@ class TestTableIO:
         assert q.gains[0] == 0.0 and q.gains[1] == 1.0
         assert np.allclose(q.gains, p.gains, rtol=1e-11)
 
+    @pytest.mark.parametrize(
+        "k_max, seed",
+        # (15, 1) and (20, 1): pooled top increments that a 12-digit table
+        # printed equal, so the loader rejected it
+        [(5, 2), (10, 2), (15, 1), (20, 1), (15, 7), (30, 3)],
+    )
+    def test_round_trip_is_exact(self, k_max, seed):
+        p = estimate_gains(1.0, k_max, 20_000, seed=seed)
+        assert GainProfile.from_table(p.to_table()).gains == p.gains
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         p = estimate_gains(1.0, 5, 20_000, seed=2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

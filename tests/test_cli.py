@@ -1,8 +1,10 @@
 import pytest
 
-from laxsched.capacity import GainProfile
+from laxsched.capacity import GainProfile, estimate_gains
+from laxsched.channel import ChannelModel
 from laxsched.cli import (
     ConfigError,
+    _write_trace,
     build_experiment_config,
     cmd_gains,
     cmd_oracle_check,
@@ -10,6 +12,11 @@ from laxsched.cli import (
     main,
     parse_config_text,
 )
+from laxsched.core import DownloadRequest
+from laxsched.engine import run_fluid, run_tdm
+from laxsched.policies import make_policy
+
+from helpers import reference_write_trace
 
 
 def tdm_config_text(**overrides):
@@ -135,6 +142,71 @@ class TestCmdGains:
         cmd_gains(kv, b, seed=9)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_k_max_defaults_to_user_count(self, tmp_path):
+        out = tmp_path / "g.csv"
+        cmd_gains({"traffic.user_count": "20", "gains.samples": "20000"}, out, seed=3)
+        assert GainProfile.load(out).k_max == 20
+        cmd_gains({"traffic.user_count": "4", "gains.samples": "20000"}, out, seed=3)
+        assert GainProfile.load(out).k_max == 15
+
+    def test_written_table_feeds_run(self, tmp_path):
+        # seed 1, 20 users, 20 000 samples: a table the loader once rejected
+        cfg = tmp_path / "cfg.txt"
+        overrides = {
+            "gains.path": None,
+            "gains.samples": "20000",
+            "traffic.user_count": "20",
+            "sweep.values": "100",
+            "replications": "1",
+        }
+        cfg.write_text(fluid_config_text(None, **overrides))
+        table = tmp_path / "g.csv"
+        assert main(["gains", "--config", str(cfg), "--out", str(table), "--seed", "1"]) == 0
+        assert GainProfile.load(table).k_max == 20
+        cfg.write_text(fluid_config_text(table, **dict(overrides, **{"gains.path": table})))
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "20"
+
+
+class TestTraceWriter:
+    """The CLI's trace writer against the per-row f-string reference in
+    helpers, byte for byte."""
+
+    def _assert_same_bytes(self, tmp_path, report):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_trace(ours, report)
+        reference_write_trace(ref, report)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_fluid_trace(self, tmp_path):
+        # staggered arrivals, ids out of arrival order; user 4 completes
+        # while the others are still served
+        reqs = [
+            DownloadRequest(3, 0.0, 4.0, 10.0),
+            DownloadRequest(1, 0.3, 5.5, 10.0),
+            DownloadRequest(4, 0.3, 0.4, 10.0),
+            DownloadRequest(2, 1.7, 2.5, 10.0),
+        ]
+        gains = estimate_gains(1.0, 4, 20_000, seed=5)  # full-precision rates
+        report = run_fluid(reqs, gains, 0.1, record_trace=True)
+        done = report.outcomes[4].completion_time
+        assert done < max(o.completion_time for o in report.outcomes.values())
+        assert any(rec.time > done for rec in report.trace)
+        self._assert_same_bytes(tmp_path, report)
+
+    def test_tdm_trace(self, tmp_path):
+        reqs = [
+            DownloadRequest(2, 0.0, 3.0, 60.0),
+            DownloadRequest(1, 4.0, 2.0, 50.0),
+            DownloadRequest(3, 9.0, 4.0, 80.0),
+        ]
+        report = run_tdm(
+            reqs, ChannelModel(), make_policy("l-log"), 0.2, seed=7, record_trace=True
+        )
+        assert report.trace
+        self._assert_same_bytes(tmp_path, report)
+
 
 class TestCmdRun:
     def test_csv_schema(self, tmp_path, gains_file):
@@ -169,6 +241,20 @@ class TestCmdRun:
         assert len(traces) == 8
         header = traces[0].read_text().splitlines()[0]
         assert header == "slot,user_id,residual,virtual_laxity,in_LLS,decision"
+
+    @pytest.mark.parametrize("kind, cells", [("fluid", 9), ("tdm", 8)])
+    def test_traces_identical_across_jobs(self, tmp_path, gains_file, kind, cells):
+        text = fluid_config_text(gains_file) if kind == "fluid" else tdm_config_text()
+        cfg = build_experiment_config(parse_config_text(text))
+        traces = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}" / "run.csv"
+            out.parent.mkdir()
+            cmd_run(cfg, out, base_seed=5, jobs=jobs, trace=True)
+            trace_dir = tmp_path / f"jobs{jobs}" / "run.csv.traces"
+            traces[jobs] = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+        assert len(traces[1]) == cells
+        assert traces[2] == traces[1]
 
 
 class TestCmdOracleCheck:

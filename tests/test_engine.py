@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from laxsched.engine import (
 )
 from laxsched.policies import l2hpr_allocate, make_policy
 from laxsched.seeding import generator_from
+
+from helpers import ReferenceUlt
 
 GAINS = GainProfile((0.0, 1.0, 1.5))
 GAINS8 = GainProfile(
@@ -69,6 +73,99 @@ class TestUltTracker:
         assert clo[i[1], i[3]]
         assert (clo >= ult).all()
         assert clo.diagonal().all()
+
+
+LIMIT = 0.1  # the order check's slot length in the differential tests
+
+
+@st.composite
+def laxity_histories(draw, arrival_ordered=False):
+    """Slots of laxity maps: exact ties from a coarse grid, users joining
+    mid-sequence, and pairs set one LIMIT apart to within a few ulps. With
+    arrival_ordered, users never leave and each map lists them in the order
+    they joined (the shape run_fluid passes)."""
+    uids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
+    joins = draw(st.lists(st.integers(0, 3), min_size=len(uids), max_size=len(uids)))
+    if arrival_ordered:
+        uids = [u for _, u in sorted(zip(joins, uids), key=lambda p: p[0])]
+        joins = sorted(joins)
+    value = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.floats(-5.0, 5.0, allow_nan=False)
+    )
+    history = []
+    for slot in range(draw(st.integers(1, 6))):
+        lax = {u: draw(value) for u, j in zip(uids, joins) if j <= slot}
+        if len(lax) >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(list(lax)))[:2]
+            edge = lax[b] + LIMIT
+            ulps = draw(st.integers(-3, 3))
+            for _ in range(abs(ulps)):
+                edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+            lax[a] = edge
+        history.append(lax)
+    return history
+
+
+class TestUltTrackerAgainstDefinition:
+    """The bitmask tracker against helpers.ReferenceUlt, the relation built
+    from its definition."""
+
+    @staticmethod
+    def _assert_relation(tracker, ref):
+        closure = ref.closure()
+        for a in ref.users:
+            for b in ref.users:
+                assert tracker.ult(a, b) == ((a, b) in ref.direct), (a, b)
+                assert tracker.iult(a, b) == ((a, b) in closure), (a, b)
+        for b in ref.users:
+            assert tracker.reaching(b) == {a for a in ref.users if (a, b) in closure}
+        assert set(tracker.direct_pairs()) == {(a, b) for a, b in ref.direct if a != b}
+        assert sorted(tracker.users()) == sorted(ref.users)
+
+    @given(history=laxity_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_public_api_matches_definition(self, history):
+        tracker, ref = UltTracker(), ReferenceUlt()
+        for lax, probe in zip(history, history[1:] + [history[0]]):
+            tracker.update(lax)
+            ref.update(lax)
+            self._assert_relation(tracker, ref)
+            if lax:
+                assert least_laxity_set(tracker, lax) == ref.least_laxity_set(lax)
+            # the current slot's laxities, then another slot's (which may
+            # hold users the tracker has not seen)
+            for check in (lax, probe):
+                pairs = laxity_order_check(tracker, check, LIMIT)
+                assert pairs == sorted(set(pairs))
+                assert set(pairs) == ref.order_violations(check, LIMIT)
+
+    @given(history=laxity_histories(arrival_ordered=True))
+    @settings(max_examples=300, deadline=None)
+    def test_engine_step_matches_definition(self, history):
+        tracker, ref = UltTracker(), ReferenceUlt()
+        for lax in history:
+            if not lax:
+                continue
+            star, lls, pairs = tracker._step(lax, LIMIT)
+            ref.update(lax)
+            self._assert_relation(tracker, ref)
+            assert star == min(lax, key=lambda u: (lax[u], u))
+            assert lls == ref.least_laxity_set(lax)
+            assert pairs == sorted(ref.order_violations(lax, LIMIT))
+
+    def test_engine_step_rejects_reordered_users(self):
+        tracker = UltTracker()
+        tracker._step({1: 1.0, 2: 2.0}, LIMIT)
+        with pytest.raises(ValueError, match="first-seen order"):
+            tracker._step({2: 2.0, 1: 1.0}, LIMIT)
+
+    def test_pair_one_ulp_past_the_limit_is_reported(self):
+        tracker = UltTracker()
+        tracker.update({1: 1.0, 2: 1.0})
+        # 1.125 - 1.0 is exactly the (binary-exact) limit; one ulp more is past it
+        assert laxity_order_check(tracker, {1: 1.125, 2: 1.0}, 0.125) == []
+        past = {1: math.nextafter(1.125, math.inf), 2: 1.0}
+        assert laxity_order_check(tracker, past, 0.125) == [(1, 2)]
 
 
 class TestLeastLaxitySet:
