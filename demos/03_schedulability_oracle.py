@@ -1,9 +1,10 @@
 """Decide offline whether instances are schedulable at all, then watch the
 fluid policy complete exactly the instances the oracle accepts.
 
-The oracle solves a small LP over the arrival-epoch partition, returns a
-signed capacity margin, and produces either a replayable witness schedule or
-a user subset whose demand provably exceeds its available capacity.
+The oracle computes a signed capacity margin exactly, by a dynamic program
+over the users in arrival order, and produces either a replayable witness
+schedule (from one LP over the arrival-epoch partition) or a user subset
+whose demand provably exceeds its available capacity.
 """
 
 from laxsched import (

@@ -9,7 +9,7 @@ channel   -- Rayleigh/Shannon normalized rate sampling
 traffic   -- request generators and the truncated-lognormal size law
 policies  -- fluid laxity-ranked allocation; framework and baseline TDM policies
 engine    -- slotted fluid/TDM simulation loops, laxity-history tracking
-oracle    -- LP schedulability decision with replayable witnesses
+oracle    -- exact schedulability margin and certificate; LP witness schedules
 cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
 

@@ -1,25 +1,27 @@
 """Offline schedulability decision for identical-deadline instances.
 
-Feasibility over the polymatroid region is a linear program on the epoch
-partition (between consecutive arrivals the active set is constant, and any
-schedule can be averaged within an interval): allocate data y[i,k] to user i
-in interval k so that every user's total equals its file size while, in
-every interval, the m largest allocations stay below g_m times the interval
-length. The LP maximizes the common demand scale t*, so t* >= 1 means
-feasible and t* - 1 is a signed feasibility margin.
+With a common deadline D a user set S can receive at most
+f(S) = sum_j (g_j - g_{j-1}) (D - a_(j)) by D, a_(1) <= a_(2) <= ... its
+members' arrival times. f is the rank of a polymatroid (the time integral of
+the per-instant symmetric ones), so the instance is schedulable iff
+rho = min over S of f(S)/F(S) >= 1, F(S) the set's total file size
+(Fujishige, Submodular Functions and Optimization); rho - 1 is the margin.
 
-The exponential family of subset constraints is generated lazily: solve,
-sort each interval's allocation, add the most violated prefix constraint,
-repeat. The family is finite, so this terminates.
+max over S of t*F(S) - f(S) is an O(M^2) dynamic program over the users in
+arrival order whose state is how many members were taken. Dinkelbach
+iterations t <- f(S)/F(S) on it reach rho in a few steps; at t = 1 it gives
+the most overloaded set, the certificate of an infeasible instance. Only the
+witness of a feasible instance needs a linear program, and only it imports
+scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .capacity import GainProfile
 from .channel import ChannelModel
@@ -39,9 +41,6 @@ __all__ = [
     "FrontierPoint",
     "schedulability_frontier",
 ]
-
-# 2^M subset certification is only affordable up to this many users.
-CERTIFICATE_USER_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class InfeasibilityCertificate:
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    margin: float  # t* - 1: signed headroom of the demand scale
+    margin: float  # rho - 1: signed headroom of the demand scale
     borderline: bool
     witness: tuple[dict[int, float], ...] | None
     certificate: InfeasibilityCertificate | None
@@ -124,148 +123,144 @@ def subset_capacity(
     return total
 
 
-def _find_certificate(problem: FeasibilityProblem) -> InfeasibilityCertificate | None:
-    reqs = problem.requests
-    best = None
-    best_gap = 0.0
-    for mask in range(1, 1 << len(reqs)):
-        subset = [reqs[i] for i in range(len(reqs)) if mask >> i & 1]
-        cap = subset_capacity([r.arrival_time for r in subset], problem.deadline, problem.gains)
-        demand = sum(r.initial_size for r in subset)
-        gap = demand - cap
-        if gap > best_gap:
-            best_gap = gap
-            best = InfeasibilityCertificate(
-                user_ids=tuple(r.user_id for r in subset),
-                window=(min(r.arrival_time for r in subset), problem.deadline),
-                demand=demand,
-                capacity=cap,
-            )
-    return best
+def _most_overloaded(sizes: np.ndarray, cost: np.ndarray, t: float) -> list[int]:
+    """A nonempty set S maximising t*F(S) - f(S), as ascending positions.
+
+    Users are in arrival order; taking user i as the (j+1)-th member of S adds
+    t*sizes[i] to the first term and cost[i, j] = (g_{j+1} - g_j)(D - a_i)
+    to the second.
+    """
+    n = len(sizes)
+    best = np.full(n + 1, -np.inf)  # best[j]: j members taken so far
+    best[0] = 0.0
+    took = np.zeros((n, n), dtype=bool)  # took[i, j]: user i became member j+1
+    for i, row in enumerate(t * sizes[:, None] - cost):
+        cand = best[:-1] + row
+        took[i] = cand > best[1:]
+        np.maximum(best[1:], cand, out=best[1:])
+    j = int(np.argmax(best[1:])) + 1
+    members = []
+    for i in range(n - 1, -1, -1):
+        if j and took[i, j - 1]:
+            members.append(i)
+            j -= 1
+    return members[::-1]
 
 
 def feasible(
     problem: FeasibilityProblem,
     tol: float = 1e-9,
     margin_band: float = 1e-6,
-    max_rounds: int = 500,
 ) -> FeasibilityResult:
     """Decide schedulability; return a replayable witness or a certificate.
 
     Instances with |margin| <= margin_band are flagged borderline: they sit
     too close to the capacity boundary for any finite slot length to resolve.
     """
-    reqs = problem.requests
-    n = len(reqs)
+    reqs = sorted(problem.requests, key=lambda r: r.arrival_time)
     deadline = problem.deadline
-    g = problem.gains.gains
-    lengths = [b - a for a, b in zip(problem.epochs, problem.epochs[1:])]
-    n_iv = len(lengths)
+    sizes = np.array([r.initial_size for r in reqs])
+    cost = np.multiply.outer(
+        [deadline - r.arrival_time for r in reqs], np.diff(problem.gains.gains)[: len(reqs)]
+    )
 
-    eligible = [
-        [i for i, r in enumerate(reqs) if r.arrival_time <= problem.epochs[k]]
-        for k in range(n_iv)
-    ]
-    var_index: dict[tuple[int, int], int] = {}
-    for k in range(n_iv):
-        for i in eligible[k]:
-            var_index[(i, k)] = len(var_index)
-    t_var = len(var_index)
-    n_vars = t_var + 1
+    def capacity_and_demand(members: list[int]) -> tuple[float, float]:
+        chosen = [reqs[i] for i in members]
+        cap = subset_capacity([r.arrival_time for r in chosen], deadline, problem.gains)
+        return cap, sum(r.initial_size for r in chosen)
 
-    c = np.zeros(n_vars)
-    c[t_var] = -1.0  # maximize t
-
-    a_eq = np.zeros((n, n_vars))
-    for (i, k), v in var_index.items():
-        a_eq[i, v] = 1.0
-    for i, r in enumerate(reqs):
-        a_eq[i, t_var] = -r.initial_size
-    b_eq = np.zeros(n)
-
-    bounds = [(0.0, None)] * n_vars
-    for (i, k), v in var_index.items():
-        bounds[v] = (0.0, g[1] * lengths[k])
-
-    # start from the full-set constraint of every interval; tighter prefixes
-    # are generated lazily
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-
-    def add_constraint(k: int, users: tuple[int, ...]) -> bool:
-        key = (k, users)
-        if key in seen:
-            return False
-        seen.add(key)
-        row = np.zeros(n_vars)
-        for i in users:
-            row[var_index[(i, k)]] = 1.0
-        rows.append(row)
-        rhs.append(g[len(users)] * lengths[k])
-        return True
-
-    for k in range(n_iv):
-        if eligible[k]:
-            add_constraint(k, tuple(eligible[k]))
-
-    atol = tol * max(1.0, deadline)
-    res = None
-    for _ in range(max_rounds):
-        res = linprog(
-            c,
-            A_ub=np.array(rows),
-            b_ub=np.array(rhs),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"feasibility LP failed: {res.message}")
-        y = res.x
-        added = False
-        for k in range(n_iv):
-            users = eligible[k]
-            if len(users) < 2:
-                continue
-            ordered = sorted(users, key=lambda i: -y[var_index[(i, k)]])
-            prefix = 0.0
-            worst_excess = atol
-            worst_m = None
-            for m, i in enumerate(ordered, start=1):
-                prefix += y[var_index[(i, k)]]
-                excess = prefix - g[m] * lengths[k]
-                if excess > worst_excess:
-                    worst_excess = excess
-                    worst_m = m
-            if worst_m is not None:
-                added |= add_constraint(k, tuple(sorted(ordered[:worst_m])))
-        if not added:
+    # Dinkelbach from the full set: each step strictly lowers rho until no
+    # set has a smaller ratio
+    rho, members = math.inf, list(range(len(reqs)))
+    while True:
+        cap, demand = capacity_and_demand(members)
+        if not cap / demand < rho:
             break
-    else:
-        raise RuntimeError("constraint generation did not converge")
+        rho = cap / demand
+        members = _most_overloaded(sizes, cost, rho)
 
-    t_star = float(res.x[t_var])
-    margin = t_star - 1.0
+    margin = rho - 1.0
     is_feasible = margin >= -tol
-    borderline = abs(margin) <= margin_band
-
-    witness = None
-    certificate = None
+    witness = certificate = None
     if is_feasible:
-        scale = (1.0 + 1e-9) / max(t_star, 1.0)  # pad so replay clamps to exactly 0
-        witness = tuple(
-            {
-                reqs[i].user_id: float(res.x[var_index[(i, k)]]) * scale / lengths[k]
-                for i in eligible[k]
-            }
-            for k in range(n_iv)
+        witness = _witness(problem)
+    else:
+        members = _most_overloaded(sizes, cost, 1.0)
+        cap, demand = capacity_and_demand(members)
+        certificate = InfeasibilityCertificate(
+            user_ids=tuple(sorted(reqs[i].user_id for i in members)),
+            window=(reqs[members[0]].arrival_time, deadline),
+            demand=demand,
+            capacity=cap,
         )
-    elif n <= CERTIFICATE_USER_LIMIT:
-        certificate = _find_certificate(problem)
+    return FeasibilityResult(
+        is_feasible, margin, abs(margin) <= margin_band, witness, certificate
+    )
 
-    return FeasibilityResult(is_feasible, margin, borderline, witness, certificate)
+
+def _witness(problem: FeasibilityProblem) -> tuple[dict[int, float], ...]:
+    """Per-interval rates that finish every file, from the LP that maximises
+    the common demand scale t over the epoch partition.
+
+    y[i,k] is the data user i gets in interval k of length l_k, from users
+    arrived by its start. The m largest y[.,k] must sum to at most g_m*l_k;
+    for 1 < m < n_k that is m*lam + sum_i u_i <= g_m*l_k with u_i >= y[i,k] -
+    lam, u_i >= 0 and lam free (Ogryczak and Tamir, 2003). Rates are scaled
+    by (1 + 1e-9)/t*, so replay delivers every file with a little to spare.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    reqs, g = problem.requests, problem.gains.gains
+    bounds: list[tuple[float | None, float | None]] = [(0.0, None)]  # column 0: t
+    ub: list[tuple[int, int, float]] = []  # (row, column, value) entries of A_ub
+    b_ub: list[float] = []
+    eq = [(i, 0, -r.initial_size) for i, r in enumerate(reqs)]
+    intervals = []  # (length, [(request index, column of y)])
+
+    def columns(n: int, low: float | None, high: float | None = None) -> range:
+        bounds.extend([(low, high)] * n)
+        return range(len(bounds) - n, len(bounds))
+
+    for start, end in zip(problem.epochs, problem.epochs[1:]):
+        length = end - start
+        eligible = [i for i, r in enumerate(reqs) if r.arrival_time <= start]
+        ys = columns(len(eligible), 0.0, g[1] * length)
+        intervals.append((length, list(zip(eligible, ys))))
+        eq += [(i, y, 1.0) for i, y in zip(eligible, ys)]
+        ub += [(len(b_ub), y, 1.0) for y in ys]
+        b_ub.append(g[len(ys)] * length)
+        for m in range(2, len(ys)):
+            lam = columns(1, None)[0]
+            excess = columns(len(ys), 0.0)
+            ub += [(len(b_ub), lam, float(m))] + [(len(b_ub), u, 1.0) for u in excess]
+            b_ub.append(g[m] * length)
+            for y, u in zip(ys, excess):
+                ub += [(len(b_ub), y, 1.0), (len(b_ub), lam, -1.0), (len(b_ub), u, -1.0)]
+                b_ub.append(0.0)
+
+    def matrix(entries: list[tuple[int, int, float]], n_rows: int):
+        rows, cols, values = zip(*entries)
+        return coo_matrix((values, (rows, cols)), shape=(n_rows, len(bounds))).tocsr()
+
+    c = np.zeros(len(bounds))
+    c[0] = -1.0  # maximize t
+    res = linprog(
+        c,
+        A_ub=matrix(ub, len(b_ub)),
+        b_ub=b_ub,
+        A_eq=matrix(eq, len(reqs)),
+        b_eq=np.zeros(len(reqs)),
+        bounds=bounds,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"witness LP failed: {res.message}")
+    scale = (1.0 + 1e-9) / float(res.x[0])
+    return tuple(
+        {reqs[i].user_id: float(res.x[y]) * scale / length for i, y in users}
+        for length, users in intervals
+    )
 
 
 def witness_text(

@@ -34,6 +34,20 @@ def spectral_efficiency_closed(mean_sinr: float) -> float:
     return math.exp(inv) * special.exp1(inv) / math.log(2.0)
 
 
+def spectral_efficiency_quadrature(mean_sinr: float) -> float:
+    """E[log2(1 + g)], g ~ exponential(mean_sinr), by adaptive quadrature at
+    a relative tolerance of 1e-13."""
+    val, _ = integrate.quad(
+        lambda u: math.log1p(mean_sinr * u) * math.exp(-u),
+        0.0,
+        np.inf,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return val / math.log(2.0)
+
+
 def quadrature_gain_profile(k_max: int):
     """Quadrature-derived gain tuple g_0..g_K (strict concavity holds exactly)."""
     return (0.0, 1.0, *(gain_quadrature(k) for k in range(2, k_max + 1)))
@@ -62,13 +76,18 @@ def subset_capacity_independent(arrivals, deadline: float, gains) -> float:
     return total
 
 
+def _subsets(requests):
+    """Every nonempty user subset as a list of requests, over all 2^M masks."""
+    n = len(requests)
+    for mask in range(1, 1 << n):
+        yield [requests[i] for i in range(n) if mask >> i & 1]
+
+
 def subset_feasible(requests, gains: tuple[float, ...], slack: float = 0.0) -> bool:
     """Necessary condition checked exhaustively: every user subset's demand
     fits the capacity available between its first arrival and the deadline."""
     deadline = requests[0].deadline
-    n = len(requests)
-    for mask in range(1, 1 << n):
-        subset = [requests[i] for i in range(n) if mask >> i & 1]
+    for subset in _subsets(requests):
         demand = sum(r.initial_size for r in subset)
         cap = subset_capacity_independent(
             [r.arrival_time for r in subset], deadline, gains
@@ -76,6 +95,54 @@ def subset_feasible(requests, gains: tuple[float, ...], slack: float = 0.0) -> b
         if demand > cap + slack:
             return False
     return True
+
+
+def brute_force_rho(requests, gains) -> float:
+    """min over nonempty sets S of f(S)/F(S), enumerated over 2^M subsets."""
+    deadline = requests[0].deadline
+    return min(
+        subset_capacity_independent([r.arrival_time for r in s], deadline, gains)
+        / sum(r.initial_size for r in s)
+        for s in _subsets(requests)
+    )
+
+
+def brute_force_max_gap(requests, gains) -> float:
+    """max over nonempty sets S of F(S) - f(S), enumerated over 2^M subsets."""
+    deadline = requests[0].deadline
+    return max(
+        sum(r.initial_size for r in s)
+        - subset_capacity_independent([r.arrival_time for r in s], deadline, gains)
+        for s in _subsets(requests)
+    )
+
+
+def witness_region_problems(requests, epochs, witness, gains, tol: float) -> list[str]:
+    """Everything wrong with a per-interval rate witness: it must serve only
+    users that have arrived by an interval's start, keep every rate
+    nonnegative and the m largest rates within g_m, and deliver every file.
+    tol is an allowance in data units (rate times interval length)."""
+    arrival = {r.user_id: r.arrival_time for r in requests}
+    delivered = dict.fromkeys(arrival, 0.0)
+    problems = []
+    if len(witness) != len(epochs) - 1:
+        return [f"{len(witness)} intervals for {len(epochs)} epochs"]
+    for k, rates in enumerate(witness):
+        length = epochs[k + 1] - epochs[k]
+        for uid, rate in rates.items():
+            if rate < 0.0 or (rate > 0.0 and arrival[uid] > epochs[k]):
+                problems.append(f"interval {k}: user {uid} has rate {rate!r}")
+            delivered[uid] += rate * length
+        ordered = sorted(rates.values(), reverse=True)
+        for m in range(1, len(ordered) + 1):
+            if (sum(ordered[:m]) - gains[m]) * length > tol:
+                problems.append(f"interval {k}: {m} largest rates exceed g_{m}")
+    problems += [
+        f"user {r.user_id} gets {delivered[r.user_id]!r} of {r.initial_size!r}"
+        for r in requests
+        if delivered[r.user_id] < r.initial_size - tol
+    ]
+    return problems
 
 
 def _grid_vectors(n_users: int, gains: tuple[float, ...], q: int):

@@ -11,7 +11,7 @@ from laxsched.channel import (
 )
 from laxsched.seeding import generator_from
 
-from helpers import spectral_efficiency_closed
+from helpers import spectral_efficiency_closed, spectral_efficiency_quadrature
 
 # closed form e*E1(1)/ln2, frozen from high-precision evaluation
 SE_UNIT_MEAN = 0.8603473822708860
@@ -53,6 +53,14 @@ class TestMeanSpectralEfficiency:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mean_spectral_efficiency(0.0)
+
+    def test_matches_quadrature_on_log_grid(self):
+        grid = np.logspace(-3.0, 4.0, 71)
+        values = [mean_spectral_efficiency(float(s)) for s in grid]
+        for s, value in zip(grid, values):
+            ref = spectral_efficiency_quadrature(float(s))
+            assert abs(value - ref) <= 1e-14 * ref, f"s={s}"
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestChannelModel:

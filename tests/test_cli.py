@@ -276,6 +276,26 @@ class TestCmdOracleCheck:
         with pytest.raises(ConfigError):
             cmd_oracle_check(cfg, tmp_path / "x.csv", base_seed=1)
 
+    @pytest.mark.parametrize(
+        "users,deadline",
+        [(12, "60"), (15, "180")],  # a staggered M = 12 batch; the paper's fig2 workload
+    )
+    def test_staggered_batches_answer(self, tmp_path, users, deadline):
+        text = fluid_config_text(
+            None,
+            **{
+                "gains.path": None,
+                "traffic.user_count": str(users),
+                "sweep.values": deadline,
+                "replications": "1",
+            },
+        )
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+        assert out.read_text().splitlines()[1].startswith(f"{deadline},0,")
+
 
 class TestMainEntry:
     def test_success_exit_zero(self, tmp_path):

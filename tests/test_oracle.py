@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxsched.capacity import GainProfile
 from laxsched.channel import ChannelModel
+from laxsched.cli import _make_requests, _resolve_gains, build_experiment_config, parse_config_text
 from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
 from laxsched.oracle import (
@@ -15,10 +18,17 @@ from laxsched.oracle import (
     subset_capacity,
 )
 from laxsched.policies import make_policy
-from laxsched.seeding import generator_from
+from laxsched.seeding import child_generator, generator_from
 from laxsched.traffic import FileSizeLaw, IdenticalDeadlineSpec
 
-from helpers import exhaustive_grid_feasible, subset_feasible
+from helpers import (
+    brute_force_max_gap,
+    brute_force_rho,
+    exhaustive_grid_feasible,
+    quadrature_gain_profile,
+    subset_feasible,
+    witness_region_problems,
+)
 
 GAINS = GainProfile(
     (0.0, 1.0, 1.394097, 1.621773, 1.776493, 1.891485, 1.982625, 2.057353)
@@ -281,3 +291,98 @@ class TestWitnessText:
         text = witness_text(prob, res.witness)
         assert text.startswith("interval 0 [0, 3):")
         assert "user 1: rate" in text
+
+
+@st.composite
+def tied_instances(draw):
+    """M <= 10 users with arrivals on a coarse grid (exact ties), strictly
+    concave gains, and a load around the capacity of the whole set."""
+    m = draw(st.integers(1, 10))
+    ratios = draw(st.lists(st.floats(0.05, 0.95), min_size=m - 1, max_size=m - 1))
+    increments = [1.0]
+    for r in sorted(ratios, reverse=True):
+        increments.append(increments[-1] * r)
+    gains = tuple(itertools.accumulate([0.0, *increments]))
+    deadline = draw(st.sampled_from([1.0, 10.0, 60.0, 300.0]))
+    slots = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    load = draw(st.floats(0.2, 2.0))
+    scale = load * gains[m] * deadline / sum(weights)
+    reqs = [
+        req(i + 1, deadline * slots[i] / 10.0, weights[i] * scale, deadline)
+        for i in range(m)
+    ]
+    return reqs, GainProfile(gains)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances())
+    def test_margin_verdict_and_certificate(self, instance):
+        reqs, gains = instance
+        res = feasible(FeasibilityProblem.from_requests(reqs, gains))
+        rho = brute_force_rho(reqs, gains.gains)
+        assert abs(res.margin - (rho - 1.0)) <= 1e-12 * rho
+        assert res.feasible == (rho >= 1.0 - 1e-9)
+        if res.feasible:
+            assert res.certificate is None and res.witness is not None
+            return
+        gap = brute_force_max_gap(reqs, gains.gains)
+        cert = res.certificate
+        demand = sum(r.initial_size for r in reqs)
+        assert cert.demand - cert.capacity == pytest.approx(gap, rel=1e-12, abs=1e-12 * demand)
+        first = min(r.arrival_time for r in reqs if r.user_id in cert.user_ids)
+        assert cert.window == (first, reqs[0].deadline)
+
+    def test_witness_in_region_up_to_m15(self):
+        # each instance is rescaled to sit just inside capacity (rho in
+        # [1, 1.05]), where a witness has next to no slack to hide an error
+        gains = GainProfile(quadrature_gain_profile(15))
+        rng = np.random.default_rng(31)
+        deadline = 100.0
+        for trial in range(30):
+            m = int(rng.integers(1, 16))
+            arrivals = rng.uniform(0.0, 0.5 * deadline, size=m)
+            if trial % 2:
+                arrivals = np.round(arrivals / 10.0) * 10.0  # exact ties
+            sizes = rng.uniform(0.2, 1.0, size=m)
+            reqs = [req(i + 1, float(arrivals[i]), float(sizes[i]), deadline) for i in range(m)]
+            rho = 1.0 + feasible(FeasibilityProblem.from_requests(reqs, gains)).margin
+            scale = rho / (1.0 + rng.uniform(0.0, 0.05))
+            reqs = [req(r.user_id, r.arrival_time, r.initial_size * scale, deadline) for r in reqs]
+            prob = FeasibilityProblem.from_requests(reqs, gains)
+            res = feasible(prob)
+            assert res.feasible
+            tol = 1e-7 * deadline  # the LP solver's row tolerance, in data units
+            assert witness_region_problems(reqs, prob.epochs, res.witness, gains.gains, tol) == []
+            assert replay_witness(prob, res.witness)
+
+
+class TestStaggeredM12:
+    """The 21 staggered M = 12 instances of `oracle-check --seed 7` (arrival
+    spread 0.5, D = 60..300, 3 replications), on which the former LP cut
+    loop raised after 8-13 s each."""
+
+    def test_every_instance_answers_exactly(self):
+        text = "\n".join([
+            "mode = fluid",
+            "traffic.kind = identical",
+            "traffic.user_count = 12",
+            "traffic.arrival_spread = 0.5",
+            "sweep.variable = deadline",
+            "sweep.values = 60,100,140,180,220,260,300",
+            "policy.names = l2hpr",
+            "replications = 3",
+        ])
+        config = build_experiment_config(parse_config_text(text))
+        gains = _resolve_gains(config, 7)
+        verdicts = []
+        for si, deadline in enumerate(config.sweep_values):
+            for rep in range(config.replications):
+                reqs = _make_requests(config, deadline, child_generator(7, si, rep, 0))
+                res = feasible(FeasibilityProblem.from_requests(reqs, gains))
+                rho = brute_force_rho(reqs, gains.gains)
+                assert abs(res.margin - (rho - 1.0)) <= 1e-12 * rho
+                verdicts.append(res.feasible)
+        assert len(verdicts) == 21
+        assert 0 < sum(verdicts) < 21  # both verdicts occur

@@ -4,8 +4,11 @@ run, because some of them take many seconds."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,15 @@ def test_demo_imports_exist(demo):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert not missing, f"{demo.name} imports undefined names {missing}"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the oracle's witness LP, on first use
+    code = (
+        "import sys, laxsched, laxsched.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(pathlib.Path(laxsched.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
