@@ -3,13 +3,13 @@ capacity region, traffic models, and an offline schedulability oracle.
 
 Subpackages/modules
 -------------------
-core      -- requests, flow state, laxity arithmetic
+core      -- requests, outcome status, request validation
 capacity  -- multi-user diversity gains and the polymatroid region
 channel   -- Rayleigh/Shannon normalized rate sampling
 traffic   -- request generators and the truncated-lognormal size law
 policies  -- fluid laxity-ranked allocation; framework and baseline TDM policies
 engine    -- slotted fluid/TDM simulation loops, laxity-history tracking
-oracle    -- exact schedulability margin and certificate; LP witness schedules
+oracle    -- exact schedulability margin and certificate; LP witness built on first read
 cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
 
@@ -22,14 +22,10 @@ from .channel import (
 )
 from .core import (
     DownloadRequest,
-    FlowState,
     FlowStatus,
-    advance_flow,
     common_deadline,
-    expected_laxity,
     first_slot_at_or_after,
     validate_requests,
-    virtual_expected_laxity,
 )
 from .engine import (
     SimReport,
@@ -57,7 +53,6 @@ from .policies import (
     FrameworkParams,
     LogUrgency,
     MaxWeightUrgency,
-    l2hpr_allocate,
     make_policy,
     urgency_exp,
     urgency_log,

@@ -434,7 +434,7 @@ def run_fluid(
 
         for uid, rate in allocation.items():
             left = residual[uid] - rate * slot_length
-            if left <= 0.0:  # the exact-zero clamp of advance_flow
+            if left <= 0.0:  # completion is this exact-zero clamp, never an epsilon compare
                 residual[uid] = 0.0
                 active.remove(uid)
                 outcomes[uid] = UserOutcome(uid, FlowStatus.COMPLETED, (n + 1) * slot_length)

@@ -12,13 +12,15 @@ arrival order whose state is how many members were taken. Dinkelbach
 iterations t <- f(S)/F(S) on it reach rho in a few steps; at t = 1 it gives
 the most overloaded set, the certificate of an infeasible instance. Only the
 witness of a feasible instance needs a linear program, and only it imports
-scipy.
+scipy; it is built when a caller first reads ``FeasibilityResult.witness``,
+so a verdict alone never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -105,8 +107,18 @@ class FeasibilityResult:
     feasible: bool
     margin: float  # rho - 1: signed headroom of the demand scale
     borderline: bool
-    witness: tuple[dict[int, float], ...] | None
     certificate: InfeasibilityCertificate | None
+    problem: FeasibilityProblem = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> tuple[dict[int, float], ...] | None:
+        """Per-interval rates that finish every file (see ``_witness``), or
+        None for an infeasible instance.
+
+        Built from the witness LP on first read and cached, so an LP failure
+        surfaces here as RuntimeError, not in ``feasible``.
+        """
+        return _witness(self.problem) if self.feasible else None
 
 
 def subset_capacity(
@@ -152,7 +164,8 @@ def feasible(
     tol: float = 1e-9,
     margin_band: float = 1e-6,
 ) -> FeasibilityResult:
-    """Decide schedulability; return a replayable witness or a certificate.
+    """Decide schedulability; a feasible verdict builds its replayable
+    witness when first read, an infeasible one carries a certificate.
 
     Instances with |margin| <= margin_band are flagged borderline: they sit
     too close to the capacity boundary for any finite slot length to resolve.
@@ -181,10 +194,8 @@ def feasible(
 
     margin = rho - 1.0
     is_feasible = margin >= -tol
-    witness = certificate = None
-    if is_feasible:
-        witness = _witness(problem)
-    else:
+    certificate = None
+    if not is_feasible:
         members = _most_overloaded(sizes, cost, 1.0)
         cap, demand = capacity_and_demand(members)
         certificate = InfeasibilityCertificate(
@@ -194,7 +205,7 @@ def feasible(
             capacity=cap,
         )
     return FeasibilityResult(
-        is_feasible, margin, abs(margin) <= margin_band, witness, certificate
+        is_feasible, margin, abs(margin) <= margin_band, certificate, problem
     )
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .capacity import GainProfile
-from .core import FlowState, FlowStatus, common_deadline
 
 __all__ = [
     "MaxWeightUrgency",
@@ -27,7 +26,6 @@ __all__ = [
     "urgency_maxweight",
     "urgency_exp",
     "urgency_log",
-    "l2hpr_allocate",
     "FrameworkPolicy",
     "MaxCiPolicy",
     "EdfPolicy",
@@ -134,9 +132,9 @@ def urgency_log(laxity: float, beta: float, zeta: float, epsilon: float) -> floa
 def _l2hpr_rates(
     uids: Sequence[int], laxities: Sequence[float], gains: GainProfile
 ) -> dict[int, float]:
-    """The ranking rule on parallel arrays: the user with the j-th smallest
-    (laxity, user id) gets the j-th marginal gain g_j - g_{j-1}. The result
-    is keyed in rank order."""
+    """The fluid allocation on parallel arrays: the user with the j-th
+    smallest (laxity, user id) gets the j-th marginal gain g_j - g_{j-1}, so
+    k users get g_k in total. The result is keyed in rank order."""
     marginal = gains.marginal_gains
     if len(uids) > len(marginal):
         raise ValueError(
@@ -146,33 +144,6 @@ def _l2hpr_rates(
     for (_, uid), rate in zip(sorted(zip(laxities, uids)), marginal):
         rates[uid] = rate
     return rates
-
-
-def l2hpr_allocate(
-    flows: Sequence[FlowState],
-    gains: GainProfile,
-    slot_index: int,
-    slot_length: float,
-) -> dict[int, float]:
-    """Fluid allocation: the user with the j-th smallest expected laxity gets
-    the j-th marginal gain g_j - g_{j-1}. Total allocated rate is g_k.
-
-    All flows must be active and share one deadline; an empty queue yields an
-    empty vector.
-    """
-    for f in flows:
-        if f.status is not FlowStatus.ACTIVE:
-            raise ValueError("l2hpr_allocate expects only active flows")
-    if not flows:
-        return {}
-    common_deadline(flows)
-    g1 = gains.gains[1]
-    elapsed = slot_index * slot_length
-    return _l2hpr_rates(
-        [f.user_id for f in flows],
-        [f.request.deadline - elapsed - f.residual_size / g1 for f in flows],
-        gains,
-    )
 
 
 class FrameworkPolicy:

@@ -8,10 +8,17 @@ under test (closed forms, quadrature, or exhaustive enumeration).
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 from scipy import integrate, special
+
+import laxsched
 
 
 def gain_quadrature(k: int) -> float:
@@ -306,3 +313,15 @@ def reference_write_trace(path, report) -> None:
                 )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter
+    that imports this checkout's laxsched."""
+    src = str(pathlib.Path(laxsched.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = "import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from laxsched.capacity import GainProfile
 from laxsched.channel import ChannelModel
-from laxsched.core import DownloadRequest, FlowState, FlowStatus, advance_flow
+from laxsched.core import DownloadRequest, FlowStatus
 from laxsched.engine import (
     UltTracker,
     least_laxity_limit,
@@ -17,7 +17,7 @@ from laxsched.engine import (
     run_fluid,
     run_tdm,
 )
-from laxsched.policies import l2hpr_allocate, make_policy
+from laxsched.policies import make_policy
 from laxsched.seeding import generator_from
 
 from helpers import ReferenceUlt
@@ -211,11 +211,11 @@ class TestLaxityOrderCheck:
         dt = 0.1
         deadline = 10.0
         sizes = [data.draw(st.floats(0.05, 9.0)) for _ in range(m)]
-        flows = [FlowState.new(req(i + 1, 0.0, sizes[i], deadline)) for i in range(m)]
-        lax_before = {f.user_id: deadline - f.residual_size for f in flows}
-        alloc = l2hpr_allocate(flows, GAINS8, 0, dt)
-        after = [advance_flow(f, alloc[f.user_id], dt) for f in flows]
-        lax_after = {f.user_id: deadline - f.residual_size for f in after}
+        reqs = [req(i + 1, 0.0, sizes[i], deadline) for i in range(m)]
+        trace = run_fluid(reqs, GAINS8, dt, record_trace=True).trace
+        # every size exceeds (g2 - g1)*dt, so at most the first-ranked user
+        # finishes in slot 0 and slot 1 is traced
+        lax_before, lax_after = trace[0].virtual_laxities, trace[1].virtual_laxities
         for a in lax_before:
             for b in lax_before:
                 if a != b and lax_before[a] - lax_before[b] <= dt:

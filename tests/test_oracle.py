@@ -12,6 +12,7 @@ from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
 from laxsched.oracle import (
     FeasibilityProblem,
+    _witness,
     feasible,
     replay_witness,
     schedulability_frontier,
@@ -26,6 +27,7 @@ from helpers import (
     brute_force_rho,
     exhaustive_grid_feasible,
     quadrature_gain_profile,
+    scipy_modules_after,
     subset_feasible,
     witness_region_problems,
 )
@@ -149,6 +151,53 @@ class TestWitness:
     def test_infeasible_has_no_witness(self):
         res = feasible(problem([req(1, 0.0, 20.0, 10.0)]))
         assert res.witness is None
+
+
+class TestLazyWitness:
+    REQS = [req(1, 0.0, 6.0, 10.0), req(2, 3.0, 4.0, 10.0), req(3, 5.0, 3.5, 10.0)]
+
+    def test_built_once_and_cached(self):
+        res = feasible(problem(self.REQS))
+        assert res.witness is res.witness
+
+    def test_equals_eager_witness(self):
+        prob = problem(self.REQS)
+        assert feasible(prob).witness == _witness(prob)
+
+    def test_infeasible_is_none_without_scipy(self):
+        code = (
+            "from laxsched import DownloadRequest, FeasibilityProblem, GainProfile, feasible\n"
+            "gains = GainProfile((0.0, 1.0, 1.394097))\n"
+            "reqs = [DownloadRequest(1, 0.0, 9.0, 10.0), DownloadRequest(2, 2.0, 8.0, 10.0)]\n"
+            "res = feasible(FeasibilityProblem.from_requests(reqs, gains))\n"
+            "assert not res.feasible and res.witness is None"
+        )
+        assert scipy_modules_after(code) == []
+
+    def test_equality_ignores_whether_witness_was_read(self):
+        prob = problem(self.REQS)
+        read, unread = feasible(prob), feasible(prob)
+        assert read == unread
+        assert read.witness is not None
+        assert read == unread and unread == read
+        assert unread.witness is not None
+        assert read == unread
+
+    def test_lp_failure_surfaces_on_first_read(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+
+        def failing_linprog(*args, **kwargs):
+            calls.append(1)
+            return scipy.optimize.OptimizeResult(success=False, message="patched to fail")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        res = feasible(problem(self.REQS))
+        assert res.feasible and res.certificate is None and not calls
+        with pytest.raises(RuntimeError, match="witness LP failed: patched to fail"):
+            res.witness
+        assert calls == [1]
 
 
 class TestCertificate:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxsched.capacity import GainProfile
-from laxsched.core import DownloadRequest, FlowState, FlowStatus, advance_flow
+from laxsched.core import DownloadRequest, FlowStatus
+from laxsched.engine import run_fluid
 from laxsched.policies import (
     EdfPolicy,
     ExpUrgency,
@@ -16,7 +17,7 @@ from laxsched.policies import (
     LogUrgency,
     MaxCiPolicy,
     MaxWeightUrgency,
-    l2hpr_allocate,
+    _l2hpr_rates,
     make_policy,
     urgency_exp,
     urgency_log,
@@ -33,19 +34,14 @@ GAINS = GainProfile((0.0, 1.0, 1.5))
 GAINS4 = GainProfile((0.0, 1.0, 1.394, 1.622, 1.776))
 
 
-def flows_from(sizes, deadline=10.0, arrivals=None):
-    arrivals = arrivals or [0.0] * len(sizes)
-    return [
-        FlowState.new(DownloadRequest(i + 1, arrivals[i], sizes[i], deadline))
-        for i in range(len(sizes))
-    ]
+def allocate(sizes, gains, deadline=10.0):
+    """The slot-0 fluid allocation for users 1..m with the given sizes: with
+    g1 = 1 each laxity is deadline - size."""
+    return _l2hpr_rates(list(range(1, len(sizes) + 1)), [deadline - s for s in sizes], gains)
 
 
-def flows_with_deadlines(pairs):
-    return [
-        FlowState.new(DownloadRequest(i + 1, 0.0, size, d))
-        for i, (size, d) in enumerate(pairs)
-    ]
+def fluid_batch(sizes, deadline=10.0):
+    return [DownloadRequest(i + 1, 0.0, s, deadline) for i, s in enumerate(sizes)]
 
 
 def select(policy, sizes, rates=None, deadlines=10.0):
@@ -153,17 +149,15 @@ class TestFrameworkParams:
 
 class TestL2hprAllocate:
     def test_two_user_tie(self):
-        flows = flows_from([5.0, 5.0])
-        alloc = l2hpr_allocate(flows, GAINS, 0, 0.1)
+        alloc = allocate([5.0, 5.0], GAINS)
         assert alloc == {1: 1.0, 2: 0.5}
 
     def test_single_user_full_rate(self):
-        alloc = l2hpr_allocate(flows_from([3.0]), GAINS, 0, 0.1)
+        alloc = allocate([3.0], GAINS)
         assert alloc == {1: 1.0}
 
     def test_total_rate_saturates_gain(self):
-        flows = flows_from([5.0, 3.0, 4.0, 2.0])
-        alloc = l2hpr_allocate(flows, GAINS4, 0, 0.1)
+        alloc = allocate([5.0, 3.0, 4.0, 2.0], GAINS4)
         assert sum(alloc.values()) == pytest.approx(GAINS4.gains[4], abs=1e-12)
         assert GAINS4.in_region(list(alloc.values()))
 
@@ -171,38 +165,38 @@ class TestL2hprAllocate:
         rng = np.random.default_rng(3)
         for _ in range(50):
             sizes = rng.uniform(0.5, 9.0, size=4).tolist()
-            flows = flows_from(sizes)
-            alloc = l2hpr_allocate(flows, GAINS4, 0, 0.1)
-            lax = {f.user_id: 10.0 - sizes[f.user_id - 1] for f in flows}
-            for a in flows:
-                for b in flows:
-                    if lax[a.user_id] < lax[b.user_id]:
-                        assert alloc[a.user_id] > alloc[b.user_id]
+            alloc = allocate(sizes, GAINS4)
+            lax = {u: 10.0 - sizes[u - 1] for u in alloc}
+            for a in alloc:
+                for b in alloc:
+                    if lax[a] < lax[b]:
+                        assert alloc[a] > alloc[b]
 
     def test_empty_queue(self):
-        assert l2hpr_allocate([], GAINS, 0, 0.1) == {}
+        assert _l2hpr_rates([], [], GAINS) == {}
 
     def test_mixed_deadlines_rejected(self):
-        flows = flows_with_deadlines([(2.0, 10.0), (2.0, 12.0)])
+        reqs = [DownloadRequest(1, 0.0, 2.0, 10.0), DownloadRequest(2, 0.0, 2.0, 12.0)]
         with pytest.raises(ValueError):
-            l2hpr_allocate(flows, GAINS, 0, 0.1)
+            run_fluid(reqs, GAINS, 0.1)
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
-            l2hpr_allocate(flows_from([1.0, 1.0, 1.0]), GAINS, 0, 0.1)
+            allocate([1.0, 1.0, 1.0], GAINS)
 
     def test_non_active_rejected(self):
-        done = advance_flow(flows_from([0.05])[0], 1.0, 0.1)
-        assert done.status is FlowStatus.COMPLETED
-        with pytest.raises(ValueError):
-            l2hpr_allocate([done], GAINS, 0, 0.1)
+        # a completed user gets no rate in any later slot
+        rep = run_fluid(fluid_batch([0.04, 5.0]), GAINS, 0.1, record_trace=True)
+        assert rep.outcomes[1].status is FlowStatus.COMPLETED
+        assert rep.outcomes[1].completion_time == 0.1
+        assert len(rep.trace) > 1
+        for rec in rep.trace[1:]:
+            assert rec.residuals[1] == 0.0 and 1 not in rec.decision
 
     def test_worked_example_after_one_slot(self):
-        flows = flows_from([5.0, 5.0])
-        alloc = l2hpr_allocate(flows, GAINS, 0, 0.1)
-        advanced = [advance_flow(f, alloc[f.user_id], 0.1) for f in flows]
-        lax = [10.0 - f.residual_size for f in advanced]
-        assert min(lax) == pytest.approx(5.0 + 0.5 * 0.1, abs=1e-12)
+        rep = run_fluid(fluid_batch([5.0, 5.0]), GAINS, 0.1, record_trace=True)
+        assert rep.trace[0].decision == {1: 1.0, 2: 0.5}
+        assert rep.trace[1].least_virtual_laxity() == pytest.approx(5.0 + 0.5 * 0.1, abs=1e-12)
 
 
 class TestFrameworkSelect:

@@ -4,15 +4,14 @@ run, because some of them take many seconds."""
 
 import ast
 import importlib
-import os
 import pathlib
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
 import laxsched
+
+from helpers import scipy_modules_after
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(laxsched.__path__) if m.name != "__main__")
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
@@ -41,12 +40,40 @@ def test_demo_imports_exist(demo):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only by the oracle's witness LP, on first use
-    code = (
-        "import sys, laxsched, laxsched.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy is imported only by the oracle's witness LP, which runs when a
+    # caller first reads a feasible verdict's witness
+    assert scipy_modules_after("import laxsched, laxsched.cli") == []
+
+
+def test_verdicts_load_no_scipy(tmp_path):
+    # oracle-check and a fluid-only frontier read verdicts, never a witness,
+    # so neither loads scipy; reading one witness afterwards does
+    gains_path = tmp_path / "gains.csv"
+    laxsched.GainProfile((0.0, 1.0, 1.394097, 1.621773, 1.776493)).save(gains_path)
+    config = tmp_path / "batch.txt"
+    config.write_text(
+        "mode = fluid\ntraffic.kind = identical\ntraffic.user_count = 4\n"
+        "traffic.arrival_spread = 0.5\nsweep.variable = deadline\nsweep.values = 2,200\n"
+        f"policy.names = l2hpr\nreplications = 2\ngains.path = {gains_path}\n"
     )
-    src = str(pathlib.Path(laxsched.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = tmp_path / "oracle.csv"
+    code = f"""
+import sys
+from laxsched import FileSizeLaw, GainProfile, IdenticalDeadlineSpec, schedulability_frontier
+from laxsched.cli import main
+assert main(["oracle-check", "--config", {str(config)!r}, "--out", {str(out)!r}, "--seed", "3"]) == 0
+gains = GainProfile((0.0, 1.0, 1.394097, 1.621773, 1.776493))
+points = schedulability_frontier(IdenticalDeadlineSpec(4, 1.0, 0.5), FileSizeLaw(), gains, [2.0, 500.0], [1, 2])
+assert [p.oracle_feasible for p in points] == [False, False, True, True]
+"""
+    assert scipy_modules_after(code) == []
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["0", "0", "1", "1"]  # feasible rows at D = 200
+
+    witness_read = code + """
+from laxsched import DownloadRequest, FeasibilityProblem, feasible
+verdict = feasible(FeasibilityProblem.from_requests([DownloadRequest(1, 0.0, 1.0, 10.0)], gains))
+assert verdict.feasible and "scipy" not in sys.modules
+assert verdict.witness
+"""
+    assert "scipy.optimize" in scipy_modules_after(witness_read)
