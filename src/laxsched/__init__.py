@@ -8,7 +8,7 @@ capacity  -- multi-user diversity gains and the polymatroid region
 channel   -- Rayleigh/Shannon normalized rate sampling
 traffic   -- request generators and the truncated-lognormal size law
 policies  -- fluid laxity-ranked allocation; framework and baseline TDM policies
-engine    -- slotted fluid/TDM simulation loops, laxity-history tracking
+engine    -- slotted fluid/TDM simulation loops, lockstep fluid batches, laxity-history tracking
 oracle    -- exact schedulability margin and certificate; LP witness built on first read
 cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
@@ -37,6 +37,7 @@ from .engine import (
     laxity_order_check,
     least_laxity_floor,
     run_fluid,
+    run_fluid_batch,
     run_tdm,
 )
 from .oracle import (

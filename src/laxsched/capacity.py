@@ -22,6 +22,9 @@ __all__ = ["GainProfile", "estimate_gains"]
 # strictly decreasing without moving any value beyond sampling noise.
 _STRICT_TILT = 1e-12
 
+# Fewest Monte-Carlo samples estimate_gains accepts.
+MIN_SAMPLE_COUNT = 10_000
+
 
 @dataclass(frozen=True)
 class GainProfile:
@@ -143,8 +146,8 @@ def estimate_gains(
         raise ValueError("mean_sinr must be > 0")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if sample_count < 10_000:
-        raise ValueError("sample_count must be >= 10000 for a usable estimate")
+    if sample_count < MIN_SAMPLE_COUNT:
+        raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT} for a usable estimate")
 
     rng = generator_from(seed)
     sums = np.zeros(k_max)

@@ -17,9 +17,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .capacity import GainProfile, estimate_gains
+from .capacity import MIN_SAMPLE_COUNT, GainProfile, estimate_gains
 from .channel import ChannelModel
-from .engine import SimReport, run_fluid, run_tdm
+from .engine import SimReport, run_fluid, run_fluid_batch, run_tdm
 from .oracle import FeasibilityProblem, feasible
 from .policies import (
     ExpUrgency,
@@ -50,6 +50,12 @@ RUN_HEADER = (
 )
 ORACLE_HEADER = "sweep_value,replication,feasible,borderline"
 TRACE_HEADER = "slot,user_id,residual,virtual_laxity,in_LLS,decision"
+
+# Most cells one run_fluid_batch call steps together. Per-slot numpy overhead
+# is shared by the cells of a call, so the time per cell falls as calls grow
+# and flattens out at a few hundred; _run_cells also splits the cells evenly
+# over the --jobs workers.
+_FLUID_BATCH = 512
 
 
 class ConfigError(Exception):
@@ -203,6 +209,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
             _framework_params(name, overrides)
         except ValueError as exc:
             raise ConfigError(f"invalid parameters for {name}: {exc}") from exc
+    gains_k_max, gains_samples = _gain_settings(kv, user_count)
 
     return ExperimentConfig(
         mode=mode,
@@ -220,8 +227,8 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         law=law,
         channel=channel,
         gains_path=kv.get("gains.path"),
-        gains_k_max=_get(kv, "gains.k_max", int, _default_k_max(user_count)),
-        gains_samples=_get(kv, "gains.samples", int, 200_000),
+        gains_k_max=gains_k_max,
+        gains_samples=gains_samples,
     )
 
 
@@ -229,6 +236,18 @@ def _default_k_max(user_count: int | None) -> int:
     """Gain table size when gains.k_max is not set: enough for the
     configured batch, and at least 15."""
     return max(15, user_count or 0)
+
+
+def _gain_settings(kv: dict[str, str], user_count: int | None) -> tuple[int, int]:
+    """gains.k_max and gains.samples, rejected here if estimate_gains would
+    reject them."""
+    k_max = _get(kv, "gains.k_max", int, _default_k_max(user_count))
+    samples = _get(kv, "gains.samples", int, 200_000)
+    if k_max < 1:
+        raise ConfigError("gains.k_max must be >= 1")
+    if samples < MIN_SAMPLE_COUNT:
+        raise ConfigError(f"gains.samples must be >= {MIN_SAMPLE_COUNT}")
+    return k_max, samples
 
 
 def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams | None:
@@ -260,20 +279,16 @@ def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams
 def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile:
     """The configured gain table, or one estimated from the config's channel
     under the base seed; it must cover the configured user count."""
-    if config.gains_path:
-        profile = GainProfile.load(config.gains_path)
-    else:
-        profile = estimate_gains(
-            config.channel.mean_sinr,
-            config.gains_k_max,
-            config.gains_samples,
-            child_seed(base_seed, 0xFADE),
-        )
-    if profile.k_max < config.user_count:
-        raise ConfigError(
-            f"gain profile k_max={profile.k_max} below user_count={config.user_count}"
-        )
-    return profile
+    profile = GainProfile.load(config.gains_path) if config.gains_path else None
+    k_max = profile.k_max if profile else config.gains_k_max
+    if k_max < config.user_count:  # checked before an estimate is paid for
+        raise ConfigError(f"gain profile k_max={k_max} below user_count={config.user_count}")
+    return profile or estimate_gains(
+        config.channel.mean_sinr,
+        config.gains_k_max,
+        config.gains_samples,
+        child_seed(base_seed, 0xFADE),
+    )
 
 
 def _make_requests(config: ExperimentConfig, sweep_value: float, rng):
@@ -326,13 +341,32 @@ def _write_trace(path: str, report: SimReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _cell_run(payload) -> tuple[list, float]:
+    """A cell's requests and slot length."""
+    config, _, base_seed, si, sweep_value, rep, _ = payload
+    requests = _make_requests(config, sweep_value, child_generator(base_seed, si, rep, 0))
+    return requests, _slot_length(config, sweep_value)
+
+
+def _result(payload, name: str, report: SimReport) -> tuple:
+    """One policy's result tuple for a cell."""
+    _, _, base_seed, si, sweep_value, rep, _ = payload
+    return (
+        sweep_value,
+        rep,
+        child_seed(base_seed, si, rep),
+        name,
+        report.n_users,
+        report.n_completed,
+        report.n_expired,
+        report.schedulable,
+    )
+
+
 def _run_cell(payload) -> list[tuple]:
     """One (sweep value, replication) cell; returns per-policy result tuples."""
     config, gains, base_seed, si, sweep_value, rep, trace_dir = payload
-    rng = child_generator(base_seed, si, rep, 0)
-    requests = _make_requests(config, sweep_value, rng)
-    seed_label = child_seed(base_seed, si, rep)
-    dt = _slot_length(config, sweep_value)
+    requests, dt = _cell_run(payload)
     results = []
     for name in config.policies:
         if name == "l2hpr":
@@ -350,19 +384,18 @@ def _run_cell(payload) -> list[tuple]:
             _write_trace(
                 os.path.join(trace_dir, f"{sweep_value:g}_rep{rep}_{name}.csv"), report
             )
-        results.append(
-            (
-                sweep_value,
-                rep,
-                seed_label,
-                name,
-                report.n_users,
-                report.n_completed,
-                report.n_expired,
-                report.schedulable,
-            )
-        )
+        results.append(_result(payload, name, report))
     return results
+
+
+def _run_fluid_cells(payloads) -> list[list[tuple]]:
+    """Untraced fluid cells, stepped together by one run_fluid_batch call.
+    Fluid mode runs only l2hpr, so one report serves each listed policy."""
+    reports = run_fluid_batch([_cell_run(p) for p in payloads], payloads[0][1])
+    return [
+        [_result(p, name, report) for name in p[0].policies]
+        for p, report in zip(payloads, reports)
+    ]
 
 
 def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
@@ -374,10 +407,19 @@ def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=No
         for si, sweep_value in enumerate(config.sweep_values)
         for rep in range(config.replications)
     ]
+    if config.mode == "fluid" and not trace_dir:
+        size = min(_FLUID_BATCH, -(-len(payloads) // jobs))
+        chunks = [payloads[i : i + size] for i in range(0, len(payloads), size)]
+        return [cell for cells in _map(_run_fluid_cells, chunks, jobs, 1) for cell in cells]
+    return _map(_run_cell, payloads, jobs, 8)
+
+
+def _map(fn, items: list, jobs: int, chunksize: int) -> list:
+    """fn over items, in order, on up to jobs worker processes."""
     if jobs <= 1:
-        return [_run_cell(p) for p in payloads]
+        return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, payloads, chunksize=8))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, trace: bool) -> None:
@@ -412,9 +454,7 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
 
 
 def cmd_gains(kv: dict[str, str], out_path: str, seed: int) -> None:
-    user_count = _get(kv, "traffic.user_count", int, 0)
-    k_max = _get(kv, "gains.k_max", int, _default_k_max(user_count))
-    samples = _get(kv, "gains.samples", int, 200_000)
+    k_max, samples = _gain_settings(kv, _get(kv, "traffic.user_count", int, 0))
     mean_sinr = _get(kv, "channel.mean_sinr", float, 1.0)
     profile = estimate_gains(mean_sinr, k_max, samples, seed)
     profile.save(out_path)

@@ -5,12 +5,23 @@ user served simultaneously at its marginal gain) and the TDM mode (one user
 per slot at its sampled instantaneous rate). The fluid mode can additionally
 track the used-to-be-less-than relation, the least-laxity set, and the
 per-slot laxity bounds.
+
+The fluid mode has two loops with bit-identical outcomes, each the faster
+one for its callers. ``run_fluid`` steps one run in plain Python and is the
+only one that traces: tests, single-instance callers and every traced CLI
+cell use it. ``run_fluid_batch`` steps many untraced runs in lockstep on
+numpy arrays; the CLI sends it every untraced fluid cell. On a 2-vCPU Xeon
+with numpy 2.4, one lane alone is 3-4x slower than ``run_fluid`` (1.0-1.3 s
+against 0.31-0.34 s for 70 runs of 15 users), while 70 lanes in one call
+take 0.05 s. Tracing stays one run at a time because a run's trace is about
+2 MB: batching the 21 traced cells of a 15-user sweep would hold about 38 MB
+of trace at once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -19,7 +30,7 @@ import numpy as np
 from .capacity import GainProfile
 from .channel import ChannelModel
 from .core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
-from .policies import _l2hpr_rates
+from .policies import _l2hpr_rates, _too_many_active
 from .seeding import generator_from
 
 __all__ = [
@@ -32,6 +43,7 @@ __all__ = [
     "least_laxity_floor",
     "least_laxity_limit",
     "run_fluid",
+    "run_fluid_batch",
     "run_tdm",
 ]
 
@@ -443,6 +455,116 @@ def run_fluid(
         n += 1
 
     return SimReport(outcomes=outcomes, trace=trace, laxity_order_violations=violations)
+
+
+def run_fluid_batch(
+    runs: Sequence[tuple[Sequence[DownloadRequest], float]], gains: GainProfile
+) -> list[SimReport]:
+    """Many untraced fluid runs, given as (requests, slot_length) pairs,
+    stepped in lockstep. The reports equal
+    ``[run_fluid(requests, gains, dt) for requests, dt in runs]``, outcome
+    for outcome and in the same order; a bad run raises the ValueError
+    ``run_fluid`` would, that of the first bad run.
+
+    Every run is a lane: a row of [lanes x users] arrays whose columns are
+    its users in ascending id, all on one shared slot index n. Each slot
+    repeats run_fluid's float operations in its order, so every outcome is
+    bit-identical: t = n*dt, the ranking by (D - t) - r/g1 with a stable
+    sort (a tie goes to the smaller id, as in ``_l2hpr_rates``), and
+    r - rate*dt clamped to exactly 0 at completion.
+    """
+    errors: dict[int, ValueError] = {}  # lane -> the error run_fluid raises
+    lanes: list[list[DownloadRequest]] = []
+    slot_lengths: list[float] = []
+    events = []  # (admission slot, lane, column)
+    for lane, (requests, dt) in enumerate(runs):
+        try:
+            if dt <= 0.0:
+                raise ValueError("slot_length must be > 0")
+            if requests:
+                validate_requests(requests, same_deadline=True)
+            users = sorted(requests, key=lambda r: r.user_id)
+            admits = [first_slot_at_or_after(r.arrival_time, dt) for r in users]
+        except ValueError as exc:
+            errors[lane], users, admits = exc, [], []
+        lanes.append(users)
+        slot_lengths.append(dt)
+        events += [(n, lane, col) for col, n in enumerate(admits)]
+    events.sort()
+    ev_slot = [n for n, _, _ in events]
+    ev_lane = np.array([lane for _, lane, _ in events], dtype=np.intp)
+    ev_col = np.array([col for _, _, col in events], dtype=np.intp)
+
+    n_lanes, width = len(lanes), max(map(len, lanes), default=0)
+    residual = np.zeros((n_lanes, width))
+    for lane, users in enumerate(lanes):
+        residual[lane, : len(users)] = [r.initial_size for r in users]
+    deadline = np.array([users[0].deadline if users else 0.0 for users in lanes])
+    dt = np.array(slot_lengths, dtype=float)
+    dt_col, deadline_col = dt[:, None], deadline[:, None]
+    k_max, g1 = gains.k_max, gains.gains[1]
+    marginal = np.zeros(max(width, k_max))  # rank -> rate; ranks past k_max idle
+    marginal[:k_max] = gains.marginal_gains
+    columns = np.tile(np.arange(width), (n_lanes, 1))
+    row_start = np.arange(n_lanes)[:, None] * width
+    alive = np.ones(n_lanes, dtype=bool)  # cleared when a lane exceeds k_max
+    active = np.zeros((n_lanes, width), dtype=bool)
+    completed = np.zeros((n_lanes, width), dtype=bool)
+    end_slot = np.zeros((n_lanes, width), dtype=np.int64)
+    end_rank = np.zeros((n_lanes, width), dtype=np.int64)  # order within a slot
+    rank = np.empty((n_lanes, width), dtype=np.intp)
+    rank_cells = rank.reshape(-1)  # a view: writing here writes rank
+
+    n = next_event = 0
+    while next_event < len(events) or active.any():
+        t = n * dt
+        stop = bisect_right(ev_slot, n, next_event)
+        admitted = stop > next_event
+        if admitted:
+            rows = ev_lane[next_event:stop]
+            active[rows, ev_col[next_event:stop]] = alive[rows]
+            next_event = stop
+        expired = active & (t >= deadline)[:, None]
+        if expired.any():  # the end_rank of 0 keeps them in id order
+            active &= ~expired
+            end_slot[expired] = n
+        if admitted:  # only an admission can raise the active count
+            count = active.sum(axis=1)
+            for lane in np.flatnonzero(count > k_max).tolist():
+                errors[lane] = _too_many_active(int(count[lane]), gains)
+                alive[lane] = active[lane] = False
+
+        laxity = np.where(active, (deadline_col - t[:, None]) - residual / g1, np.inf)
+        order = np.argsort(laxity, axis=1, kind="stable")
+        rank_cells[order + row_start] = columns
+        left = residual - marginal[rank] * dt_col
+        done = active & (left <= 0.0)
+        np.copyto(residual, left, where=active)
+        if done.any():
+            active &= ~done
+            completed |= done
+            end_slot[done] = n
+            end_rank[done] = rank[done]
+        n += 1
+
+    if errors:
+        raise errors[min(errors)]
+    reports = []
+    for lane, users in enumerate(lanes):
+        k = len(users)
+        slots = end_slot[lane, :k]
+        times = ((slots + 1) * dt[lane]).tolist()
+        done = completed[lane, :k].tolist()
+        outcomes = {}
+        for col in np.lexsort((end_rank[lane, :k], slots)).tolist():
+            uid = users[col].user_id
+            outcomes[uid] = (
+                UserOutcome(uid, FlowStatus.COMPLETED, times[col])
+                if done[col]
+                else UserOutcome(uid, FlowStatus.EXPIRED, None)
+            )
+        reports.append(SimReport(outcomes=outcomes))
+    return reports
 
 
 class _ExpStream:

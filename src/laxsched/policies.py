@@ -137,13 +137,17 @@ def _l2hpr_rates(
     k users get g_k in total. The result is keyed in rank order."""
     marginal = gains.marginal_gains
     if len(uids) > len(marginal):
-        raise ValueError(
-            f"{len(uids)} active users exceed gain profile k_max={gains.k_max}"
-        )
+        raise _too_many_active(len(uids), gains)
     rates = {}
     for (_, uid), rate in zip(sorted(zip(laxities, uids)), marginal):
         rates[uid] = rate
     return rates
+
+
+def _too_many_active(k: int, gains: GainProfile) -> ValueError:
+    """The error of a fluid slot with more active users than the profile has
+    gains for."""
+    return ValueError(f"{k} active users exceed gain profile k_max={gains.k_max}")
 
 
 class FrameworkPolicy:

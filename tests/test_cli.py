@@ -1,5 +1,6 @@
 import pytest
 
+from laxsched import cli
 from laxsched.capacity import GainProfile, estimate_gains
 from laxsched.channel import ChannelModel
 from laxsched.cli import (
@@ -85,6 +86,8 @@ class TestConfigValidation:
             {"sweep.values": ""},
             {"policy.names": "best-rate"},
             {"mode": "warp"},
+            {"gains.samples": "5000"},
+            {"gains.k_max": "0"},
         ],
     )
     def test_rejects_bad_values(self, gains_file, override):
@@ -242,6 +245,25 @@ class TestCmdRun:
         header = traces[0].read_text().splitlines()[0]
         assert header == "slot,user_id,residual,virtual_laxity,in_LLS,decision"
 
+    def test_untraced_fluid_identical_across_jobs_and_batches(
+        self, tmp_path, gains_file, monkeypatch
+    ):
+        # untraced fluid cells run in run_fluid_batch chunks; a batch of 2
+        # cuts the 9 cells across chunk boundaries at every --jobs level, and
+        # the traced run, which steps each cell alone, is the reference
+        cfg = build_experiment_config(parse_config_text(fluid_config_text(gains_file)))
+        reference = tmp_path / "traced.csv"
+        cmd_run(cfg, reference, base_seed=5, jobs=1, trace=True)
+        outputs = {}
+        for batch in (cli._FLUID_BATCH, 2):
+            monkeypatch.setattr(cli, "_FLUID_BATCH", batch)
+            for jobs in (1, 2, 3):
+                out = tmp_path / f"batch{batch}_jobs{jobs}.csv"
+                cmd_run(cfg, out, base_seed=5, jobs=jobs, trace=False)
+                outputs[batch, jobs] = out.read_bytes()
+        assert len(outputs) == 6
+        assert set(outputs.values()) == {reference.read_bytes()}
+
     @pytest.mark.parametrize("kind, cells", [("fluid", 9), ("tdm", 8)])
     def test_traces_identical_across_jobs(self, tmp_path, gains_file, kind, cells):
         text = fluid_config_text(gains_file) if kind == "fluid" else tdm_config_text()
@@ -386,6 +408,33 @@ class TestMainEntry:
         overrides = {"gains.path": None, "gains.k_max": "3", "gains.samples": "20000"}
         cfg.write_text(fluid_config_text(gains_file, **overrides))
         code = main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["gains", "run", "oracle-check"])
+    @pytest.mark.parametrize(
+        "setting", ["gains.samples = 5000", "gains.k_max = 0"], ids=["samples", "k_max"]
+    )
+    def test_bad_gain_settings_are_config_errors(
+        self, tmp_path, gains_file, capsys, command, setting
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fluid_config_text(None, **{"gains.path": None}) + f"\n{setting}\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: gains." in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_k_max_below_user_count_rejected_before_estimating(
+        self, tmp_path, monkeypatch, command
+    ):
+        def estimate(*args):
+            raise AssertionError("gains estimated for a config that is rejected")
+
+        monkeypatch.setattr(cli, "estimate_gains", estimate)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fluid_config_text(None, **{"gains.path": None, "gains.k_max": "3"}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
     def test_gains_via_main(self, tmp_path):

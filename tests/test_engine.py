@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from laxsched.engine import (
     least_laxity_set,
     laxity_order_check,
     least_laxity_floor,
+    SimReport,
     run_fluid,
+    run_fluid_batch,
     run_tdm,
 )
 from laxsched.policies import make_policy
@@ -26,6 +29,8 @@ GAINS = GainProfile((0.0, 1.0, 1.5))
 GAINS8 = GainProfile(
     (0.0, 1.0, 1.394097, 1.621773, 1.776493, 1.891485, 1.982625, 2.057353, 2.120555)
 )
+# strictly concave, with g_1 exactly 1: room for the batch tests' 12 users
+GAINS12 = GainProfile(tuple(itertools.accumulate([0.0] + [j**-0.5 for j in range(1, 13)])))
 CHANNEL = ChannelModel()
 
 
@@ -377,6 +382,104 @@ class TestRunFluid:
         assert rep.laxity_order_violations == []
         times = [rec.time for rec in rep.trace if 2 in rec.virtual_laxities]
         assert min(times) >= 2.05
+
+
+@st.composite
+def fluid_lanes(draw):
+    """1-12 fluid runs of 0-12 users, with their own slot lengths and
+    deadlines. Arrivals and sizes come mostly from coarse grids, so laxities
+    tie exactly; some users arrive in the last slot before the deadline, and
+    sizes up to 4 against deadlines from 1 make many users expire."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 12))):
+        dt = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1 / 3]))
+        deadline = draw(st.sampled_from([1.0, 2.0, 2.7, 3.0, 5.0]))
+        grid = [a for a in (0.0, 0.25, 0.5, 1.0) if a < deadline]
+        last_slot = [deadline - dt / 2, math.nextafter(deadline, 0.0)]
+        arrival = st.one_of(
+            st.sampled_from(grid + last_slot),
+            st.floats(0.0, deadline, exclude_max=True),
+        )
+        size = st.one_of(
+            st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0]), st.floats(0.05, 4.0)
+        )
+        uids = draw(st.lists(st.integers(1, 40), max_size=12, unique=True))
+        lanes.append(([req(u, draw(arrival), draw(size), deadline) for u in uids], dt))
+    return lanes
+
+
+def first_error(runs, gains):
+    """The message of the error the one-by-one loop stops on."""
+    with pytest.raises(ValueError) as exc:
+        [run_fluid(requests, gains, dt) for requests, dt in runs]
+    return str(exc.value)
+
+
+class TestRunFluidBatch:
+    """run_fluid_batch against run_fluid, one run at a time, as the
+    reference: equal outcomes in equal order, completion times compared
+    exactly, and the same errors."""
+
+    @given(fluid_lanes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_run_fluid(self, runs):
+        batch = run_fluid_batch(runs, GAINS12)
+        one_by_one = [run_fluid(requests, GAINS12, dt) for requests, dt in runs]
+        assert [list(r.outcomes.items()) for r in batch] == [
+            list(r.outcomes.items()) for r in one_by_one
+        ]
+        assert batch == one_by_one
+
+    def test_covers_ties_expiries_and_last_slot_arrivals(self):
+        # two exact ties (users 2, 3 and users 5, 6), users arriving in the
+        # last slot, expiries, and lanes with different slot lengths
+        runs = [
+            ([req(3, 0.0, 1.0, 2.0), req(2, 0.0, 1.0, 2.0), req(1, 0.5, 0.4, 2.0)], 0.1),
+            ([req(6, 0.25, 2.0, 3.0), req(5, 0.25, 2.0, 3.0), req(4, 2.9, 0.5, 3.0)], 0.3),
+            ([req(7, 0.0, 4.0, 1.0), req(8, math.nextafter(1.0, 0.0), 0.1, 1.0)], 0.25),
+        ]
+        batch = run_fluid_batch(runs, GAINS12)
+        assert batch == [run_fluid(requests, GAINS12, dt) for requests, dt in runs]
+        statuses = [o.status for r in batch for o in r.outcomes.values()]
+        assert FlowStatus.EXPIRED in statuses and FlowStatus.COMPLETED in statuses
+
+    def test_empty(self):
+        assert run_fluid_batch([], GAINS) == []
+        empty, one = run_fluid_batch([([], 0.1), ([req(1, 0.0, 1.0, 10.0)], 0.1)], GAINS)
+        assert empty == SimReport(outcomes={}) == run_fluid([], GAINS, 0.1)
+        assert one.schedulable
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ([req(1, 0.0, 1.0, 10.0), req(2, 0.0, 1.0, 10.0), req(1, 0.5, 2.0, 10.0)], 0.1),
+            ([req(1, 0.0, 1.0, 10.0), req(2, 0.0, 1.0, 11.0)], 0.1),
+            ([req(1, 0.0, 1.0, 10.0)], 0.0),
+            ([], -0.1),
+            ([req(u, 0.0, 1.0, 10.0) for u in (1, 2, 3)], 0.1),
+            ([req(1, 0.0, 5.0, 10.0), req(2, 0.0, 5.0, 10.0), req(3, 1.0, 1.0, 10.0)], 0.1),
+        ],
+        ids=["duplicate-ids", "mixed-deadlines", "zero-slot", "negative-slot", "k_max", "k_max-mid-run"],
+    )
+    def test_errors_match_run_fluid(self, bad):
+        good = ([req(1, 0.0, 1.0, 10.0), req(2, 0.5, 0.5, 10.0)], 0.1)
+        runs = [good, bad, good]
+        expected = first_error(runs, GAINS)
+        with pytest.raises(ValueError) as exc:
+            run_fluid_batch(runs, GAINS)
+        assert str(exc.value) == expected
+
+    def test_first_bad_run_wins(self):
+        # the k_max error of run 0 shows only at slot 10; run 1 is rejected
+        # up front, yet the one-by-one loop stops on run 0 first
+        late = [req(1, 0.0, 5.0, 10.0), req(2, 0.0, 5.0, 10.0), req(3, 1.0, 1.0, 10.0)]
+        duplicate = [req(1, 0.0, 1.0, 10.0), req(1, 0.0, 2.0, 10.0)]
+        runs = [(late, 0.1), (duplicate, 0.1)]
+        expected = first_error(runs, GAINS)
+        assert "k_max" in expected
+        with pytest.raises(ValueError) as exc:
+            run_fluid_batch(runs, GAINS)
+        assert str(exc.value) == expected
 
 
 class TestRunTdm:

@@ -24,6 +24,16 @@ def test_all_names_resolve(name):
     assert not missing, f"laxsched.{name}.__all__ lists undefined names {missing}"
 
 
+def test_package_exports_every_engine_name():
+    # the simulation loops (run_fluid, run_fluid_batch, run_tdm) and their
+    # report types are used from the package root, as the README shows
+    from laxsched import engine
+
+    assert "run_fluid_batch" in engine.__all__
+    missing = [n for n in engine.__all__ if getattr(laxsched, n, None) is not getattr(engine, n)]
+    assert not missing, f"laxsched does not export engine names {missing}"
+
+
 def test_demos_found():
     assert DEMOS
 
