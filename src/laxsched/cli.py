@@ -146,9 +146,11 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     )
     if not policies:
         raise ConfigError("policy.names must list at least one policy")
-    for p in policies:
+    for i, p in enumerate(policies):
         if p != "l2hpr" and p not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {p!r}")
+        if p in policies[:i]:
+            raise ConfigError(f"policy.names lists {p!r} more than once")
     if mode == "fluid" and set(policies) != {"l2hpr"}:
         raise ConfigError("fluid mode runs exactly the l2hpr policy")
     if mode == "tdm" and "l2hpr" in policies:

@@ -16,12 +16,21 @@ against 0.31-0.34 s for 70 runs of 15 users), while 70 lanes in one call
 take 0.05 s. Tracing stays one run at a time because a run's trace is about
 2 MB: batching the 21 traced cells of a 15-user sweep would hold about 38 MB
 of trace at once.
+
+The TDM mode asks its policy only when two or more users are active. A lone
+active user is served without the policy, in one stretch of slots that ends
+at the next admission, at the user's expiry slot or at its completion. Every
+built-in policy chooses a lone user whose laxity is finite, so outcomes and
+traces are the same as if it were asked; a policy never sees a single user.
+Channel rates are drawn in blocks from the run's generator, in the same
+order and with the same float operations as one draw per active user per
+slot, so a seed gives the same report whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -567,25 +576,7 @@ def run_fluid_batch(
     return reports
 
 
-class _ExpStream:
-    """Buffered exponential draws from one generator, consumed in order."""
-
-    __slots__ = ("_rng", "_mean", "_block", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator, mean: float, block: int = 1 << 14):
-        self._rng = rng
-        self._mean = mean
-        self._block = block
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self, k: int) -> list[float]:
-        buf, pos = self._buf, self._pos
-        while len(buf) - pos < k:
-            buf = buf[pos:] + self._rng.exponential(self._mean, size=self._block).tolist()
-            pos = 0
-        self._buf, self._pos = buf, pos + k
-        return buf[pos : pos + k]
+_RATE_BLOCK = 4096  # channel draws per refill of run_tdm's rate buffer
 
 
 def run_tdm(
@@ -601,7 +592,9 @@ def run_tdm(
     User ids must be distinct; deadlines may differ. Per slot: admit
     arrivals, drop expired users, draw one normalized rate per active user
     (ascending user id order), let the policy choose, and advance only the
-    chosen flow. Fixed seed gives a bit-identical report.
+    chosen flow. The policy is asked only when two or more users are
+    active: a lone active user is served without it. Fixed seed gives a
+    bit-identical report.
     """
     if slot_length <= 0.0:
         raise ValueError("slot_length must be > 0")
@@ -613,64 +606,115 @@ def run_tdm(
         return SimReport(outcomes=outcomes, trace=trace)
 
     admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
-    stream = _ExpStream(generator_from(seed), channel.mean_sinr)
+    admit_slot.append(math.inf)  # no admission after the last request
+    rng = generator_from(seed)
+    mean_sinr = channel.mean_sinr
     rate_scale = 1.0 / (_LN2 * channel.spectral_efficiency)
+    log1p = math.log1p
 
-    residual: dict[int, float] = {}
-    deadline_of: dict[int, float] = {}
-    active: list[int] = []  # kept sorted by user id
+    def draw_rates() -> list[float]:
+        # one rate per draw, in draw order; math.log1p, not np.log1p, whose
+        # SIMD path can differ in the last bit
+        gammas = rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
+        return [log1p(g) * rate_scale for g in gammas]
+
+    buf: list[float] = []  # drawn rates; buf[pos] is the next one
+    pos = 0
+    # the active users' ids, deadlines and residuals, ascending id
+    active: list[int] = []
+    dls: list[float] = []
+    res: list[float] = []
+    next_expiry = math.inf  # at or below every active user's deadline
+    n_requests = len(ordered)
     next_req = 0
+    next_admit = admit_slot[0]
     n = 0
-    while active or next_req < len(ordered):
+    while True:
+        if n >= next_admit:
+            while admit_slot[next_req] <= n:
+                req = ordered[next_req]
+                i = bisect_left(active, req.user_id)
+                active.insert(i, req.user_id)
+                dls.insert(i, req.deadline)
+                res.insert(i, req.initial_size)
+                next_expiry = min(next_expiry, req.deadline)
+                next_req += 1
+            next_admit = admit_slot[next_req]
         t = n * slot_length
-        while next_req < len(ordered) and admit_slot[next_req] <= n:
-            req = ordered[next_req]
-            residual[req.user_id] = req.initial_size
-            deadline_of[req.user_id] = req.deadline
-            insort(active, req.user_id)
-            next_req += 1
-        if active:
-            expired = [u for u in active if t >= deadline_of[u]]
-            for u in expired:
-                active.remove(u)
-                outcomes[u] = UserOutcome(u, FlowStatus.EXPIRED, None)
-        if not active:
-            if next_req >= len(ordered):
+        if t >= next_expiry:
+            kept = []
+            for i, u in enumerate(active):
+                if t >= dls[i]:
+                    outcomes[u] = UserOutcome(u, FlowStatus.EXPIRED, None)
+                else:
+                    kept.append(i)
+            active = [active[i] for i in kept]
+            dls = [dls[i] for i in kept]
+            res = [res[i] for i in kept]
+            next_expiry = min(dls, default=math.inf)
+
+        k = len(active)
+        if k == 0:
+            if next_req == n_requests:
                 break
-            n = admit_slot[next_req]  # idle until the next admission
+            n = next_admit  # idle until the next admission
             continue
 
-        gammas = stream.take(len(active))
-        rates = [math.log1p(g) * rate_scale for g in gammas]
-        laxities = [deadline_of[u] - t - residual[u] for u in active]
-        choice = policy.select_arrays(
-            active, laxities, rates, [deadline_of[u] for u in active]
-        )
+        if k == 1:
+            # Serve the lone user until the next admission, its expiry slot
+            # or its completion, one draw per slot.
+            u, d, left = active[0], dls[0], res[0]
+            expiry = first_slot_at_or_after(d, slot_length) if d < math.inf else d
+            stop = min(next_admit, expiry)
+            while True:
+                if pos == len(buf):
+                    buf, pos = draw_rates(), 0
+                rate = buf[pos]
+                pos += 1
+                if record_trace:
+                    record = TraceRecord(n, n * slot_length, {u: left}, {u: d - left}, None, None, u)
+                    trace.append(record)
+                left = left - rate * slot_length
+                n += 1
+                if left <= 0.0:
+                    active, dls, res = [], [], []
+                    outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
+                    break
+                if n == stop:
+                    res[0] = left
+                    break
+            continue
+
+        while pos + k > len(buf):
+            buf, pos = buf[pos:] + draw_rates(), 0
+        rates = buf[pos : pos + k]
+        pos += k
+        laxities = [d - t - r for d, r in zip(dls, res)]
+        choice = policy.select_arrays(active, laxities, rates, dls)
 
         if record_trace:
             trace.append(
                 TraceRecord(
-                    slot_index=n,
-                    time=t,
-                    residuals={u: residual[u] for u in active},
-                    virtual_laxities={u: deadline_of[u] - residual[u] for u in active},
-                    least_laxity_user=None,
-                    least_laxity_set=None,
-                    decision=choice,
+                    n,
+                    t,
+                    dict(zip(active, res)),
+                    {u: d - r for u, d, r in zip(active, dls, res)},
+                    None,
+                    None,
+                    choice,
                 )
             )
 
         if choice is not None:
-            rate = rates[active.index(choice)]
-            left = residual[choice] - rate * slot_length
+            i = active.index(choice)
+            left = res[i] - rates[i] * slot_length
             if left <= 0.0:
-                residual[choice] = 0.0
-                active.remove(choice)
+                del active[i], dls[i], res[i]
                 outcomes[choice] = UserOutcome(
                     choice, FlowStatus.COMPLETED, (n + 1) * slot_length
                 )
             else:
-                residual[choice] = left
+                res[i] = left
         n += 1
 
     return SimReport(outcomes=outcomes, trace=trace)

@@ -7,7 +7,9 @@ Every TDM rule is a policy object built by ``make_policy`` with one method,
 users as parallel sequences in ascending user-id order and returns the user
 to serve (None for an empty queue). Every tie anywhere is broken by the
 smallest user id. Rates passed in here are already normalized (mean 1), so
-the default per-user weight kappa is 1.
+the default per-user weight kappa is 1. ``engine.run_tdm`` asks a policy
+only when two or more users are active and serves a lone user itself, the
+choice every policy here makes for one user of finite laxity.
 """
 
 from __future__ import annotations
@@ -163,72 +165,70 @@ class FrameworkPolicy:
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
         """Among users with laxity >= delta pick the largest kappa*R*U(L); if
-        none remain, fall back to the highest kappa*R."""
+        none remain, fall back to the highest kappa*R.
+
+        The weights repeat the ``urgency_*`` expressions inline, operation
+        for operation, so they equal kappa * R * urgency_*(...) exactly;
+        ``eps if eps > lax else lax`` is ``max(lax, eps)``."""
         params = self.params
-        plus = [i for i in range(len(uids)) if laxities[i] >= params.delta]
-        kappa = params.kappa
-        best_uid = None
-        best_w = -math.inf
-        if plus:
-            urg = params.urgency
-            eps = params.epsilon
-            if isinstance(urg, MaxWeightUrgency):
-                for i in plus:
-                    w = kappa * rates[i] * urgency_maxweight(laxities[i], urg.alpha, eps)
+        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        urg = params.urgency
+        best_uid, best_w = None, -math.inf
+        if isinstance(urg, MaxWeightUrgency):
+            power = -urg.alpha
+            for u, lax, r in zip(uids, laxities, rates):
+                if lax >= delta:
+                    w = kappa * r * (eps if eps > lax else lax) ** power
                     if w > best_w:
-                        best_w, best_uid = w, uids[i]
-            elif isinstance(urg, ExpUrgency):
-                lbar = sum(urg.beta * max(laxities[i], eps) for i in plus) / len(plus)
-                for i in plus:
-                    w = kappa * rates[i] * urgency_exp(
-                        laxities[i], urg.beta, urg.zeta, urg.eta, lbar, eps
-                    )
+                        best_w, best_uid = w, u
+        elif isinstance(urg, ExpUrgency):
+            beta = urg.beta
+            scaled = [beta * (eps if eps > lax else lax) for lax in laxities if lax >= delta]
+            if scaled:
+                scale = urg.zeta + (sum(scaled) / len(scaled)) ** urg.eta
+                exp = math.exp
+                for u, lax, r in zip(uids, laxities, rates):
+                    if lax >= delta:
+                        w = kappa * r * exp(-beta * (eps if eps > lax else lax) / scale)
+                        if w > best_w:
+                            best_w, best_uid = w, u
+        else:
+            beta, zeta = urg.beta, urg.zeta
+            log = math.log
+            for u, lax, r in zip(uids, laxities, rates):
+                if lax >= delta:
+                    w = kappa * r * (1.0 / log(zeta + beta * (eps if eps > lax else lax)))
                     if w > best_w:
-                        best_w, best_uid = w, uids[i]
-            else:
-                for i in plus:
-                    w = kappa * rates[i] * urgency_log(laxities[i], urg.beta, urg.zeta, eps)
-                    if w > best_w:
-                        best_w, best_uid = w, uids[i]
+                        best_w, best_uid = w, u
+        if best_uid is not None or any(lax >= delta for lax in laxities):
             return best_uid
-        for i in range(len(uids)):
-            w = kappa * rates[i]
-            if w > best_w:
-                best_w, best_uid = w, uids[i]
-        return best_uid
+        weights = [kappa * r for r in rates]
+        return uids[weights.index(max(weights))] if weights else None
+
+
+# The baselines take the first extreme that max and min return, found again
+# by index: the smallest id on ties.
 
 
 class MaxCiPolicy:
     name = "max-ci"
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
-        best_uid, best_r = None, -math.inf
-        for u, r in zip(uids, rates):
-            if r > best_r:
-                best_r, best_uid = r, u
-        return best_uid
+        return uids[rates.index(max(rates))] if uids else None
 
 
 class EdfPolicy:
     name = "edf"
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
-        best_uid, best_d = None, math.inf
-        for u, d in zip(uids, deadlines):
-            if d < best_d:
-                best_d, best_uid = d, u
-        return best_uid
+        return uids[deadlines.index(min(deadlines))] if uids else None
 
 
 class LlfPolicy:
     name = "llf"
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
-        best_uid, best_l = None, math.inf
-        for u, lax in zip(uids, laxities):
-            if lax < best_l:
-                best_l, best_uid = lax, u
-        return best_uid
+        return uids[laxities.index(min(laxities))] if uids else None
 
 
 POLICY_NAMES = ("l-maxweight", "l-exp", "l-log", "max-ci", "edf", "llf")

@@ -2,7 +2,10 @@
 brute-force region/subset checks, and an exhaustive grid allocation search.
 
 Everything here is computed by a different route than the implementation
-under test (closed forms, quadrature, or exhaustive enumeration).
+under test (closed forms, quadrature, or exhaustive enumeration), except
+``reference_run_tdm``: the TDM slot loop as it was before the lone-user
+stretch and the rate buffer, kept as the bit-for-bit reference for
+``engine.run_tdm``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,19 @@ import os
 import pathlib
 import subprocess
 import sys
+from bisect import insort
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, special
 
 import laxsched
+from laxsched.channel import ChannelModel
+from laxsched.core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
+from laxsched.engine import SimReport, TraceRecord, UserOutcome
+from laxsched.seeding import generator_from
+
+_LN2 = math.log(2.0)
 
 
 def gain_quadrature(k: int) -> float:
@@ -325,3 +336,112 @@ def scipy_modules_after(code: str) -> list[str]:
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
+
+
+class _ExpStream:
+    """Buffered exponential draws from one generator, consumed in order."""
+
+    __slots__ = ("_rng", "_mean", "_block", "_buf", "_pos")
+
+    def __init__(self, rng: np.random.Generator, mean: float, block: int = 1 << 14):
+        self._rng = rng
+        self._mean = mean
+        self._block = block
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def take(self, k: int) -> list[float]:
+        buf, pos = self._buf, self._pos
+        while len(buf) - pos < k:
+            buf = buf[pos:] + self._rng.exponential(self._mean, size=self._block).tolist()
+            pos = 0
+        self._buf, self._pos = buf, pos + k
+        return buf[pos : pos + k]
+
+
+def reference_run_tdm(
+    requests: Sequence[DownloadRequest],
+    channel: ChannelModel,
+    policy,
+    slot_length: float,
+    seed: int,
+    record_trace: bool = False,
+) -> SimReport:
+    """Slotted TDM run: one user served per nonempty slot at its sampled rate.
+
+    User ids must be distinct; deadlines may differ. Per slot: admit
+    arrivals, drop expired users, draw one normalized rate per active user
+    (ascending user id order), let the policy choose, and advance only the
+    chosen flow. Fixed seed gives a bit-identical report.
+    """
+    if slot_length <= 0.0:
+        raise ValueError("slot_length must be > 0")
+    validate_requests(requests)
+    ordered = sorted(requests, key=lambda r: (r.arrival_time, r.user_id))
+    outcomes: dict[int, UserOutcome] = {}
+    trace: list[TraceRecord] | None = [] if record_trace else None
+    if not ordered:
+        return SimReport(outcomes=outcomes, trace=trace)
+
+    admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
+    stream = _ExpStream(generator_from(seed), channel.mean_sinr)
+    rate_scale = 1.0 / (_LN2 * channel.spectral_efficiency)
+
+    residual: dict[int, float] = {}
+    deadline_of: dict[int, float] = {}
+    active: list[int] = []  # kept sorted by user id
+    next_req = 0
+    n = 0
+    while active or next_req < len(ordered):
+        t = n * slot_length
+        while next_req < len(ordered) and admit_slot[next_req] <= n:
+            req = ordered[next_req]
+            residual[req.user_id] = req.initial_size
+            deadline_of[req.user_id] = req.deadline
+            insort(active, req.user_id)
+            next_req += 1
+        if active:
+            expired = [u for u in active if t >= deadline_of[u]]
+            for u in expired:
+                active.remove(u)
+                outcomes[u] = UserOutcome(u, FlowStatus.EXPIRED, None)
+        if not active:
+            if next_req >= len(ordered):
+                break
+            n = admit_slot[next_req]  # idle until the next admission
+            continue
+
+        gammas = stream.take(len(active))
+        rates = [math.log1p(g) * rate_scale for g in gammas]
+        laxities = [deadline_of[u] - t - residual[u] for u in active]
+        choice = policy.select_arrays(
+            active, laxities, rates, [deadline_of[u] for u in active]
+        )
+
+        if record_trace:
+            trace.append(
+                TraceRecord(
+                    slot_index=n,
+                    time=t,
+                    residuals={u: residual[u] for u in active},
+                    virtual_laxities={u: deadline_of[u] - residual[u] for u in active},
+                    least_laxity_user=None,
+                    least_laxity_set=None,
+                    decision=choice,
+                )
+            )
+
+        if choice is not None:
+            rate = rates[active.index(choice)]
+            left = residual[choice] - rate * slot_length
+            if left <= 0.0:
+                residual[choice] = 0.0
+                active.remove(choice)
+                outcomes[choice] = UserOutcome(
+                    choice, FlowStatus.COMPLETED, (n + 1) * slot_length
+                )
+            else:
+                residual[choice] = left
+        n += 1
+
+    return SimReport(outcomes=outcomes, trace=trace)

@@ -344,6 +344,24 @@ class TestMainEntry:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mode,names,repeated",
+        [("fluid", "l2hpr,l2hpr", "l2hpr"), ("tdm", "edf,llf,edf", "edf")],
+        ids=["fluid", "tdm"],
+    )
+    def test_repeated_policy_is_config_error(
+        self, tmp_path, gains_file, capsys, mode, names, repeated
+    ):
+        cfg = tmp_path / "cfg.txt"
+        if mode == "fluid":
+            cfg.write_text(fluid_config_text(gains_file, **{"policy.names": names}))
+        else:
+            cfg.write_text(tdm_config_text(**{"policy.names": names}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"policy.names lists {repeated!r} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_exit_three(self, tmp_path):
         # config points at a gains table that does not exist
         cfg_path = tmp_path / "cfg.txt"

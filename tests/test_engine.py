@@ -20,10 +20,11 @@ from laxsched.engine import (
     run_fluid_batch,
     run_tdm,
 )
-from laxsched.policies import make_policy
+from laxsched import engine
+from laxsched.policies import POLICY_NAMES, make_policy
 from laxsched.seeding import generator_from
 
-from helpers import ReferenceUlt
+from helpers import ReferenceUlt, reference_run_tdm
 
 GAINS = GainProfile((0.0, 1.0, 1.5))
 GAINS8 = GainProfile(
@@ -529,3 +530,178 @@ class TestRunTdm:
         rep = run_tdm(reqs, CHANNEL, make_policy("max-ci"), 0.25, seed=5)
         assert rep.outcomes[2].status is FlowStatus.COMPLETED
         assert rep.outcomes[2].completion_time > 500.0
+
+
+@st.composite
+def tdm_requests(draw):
+    """0-7 users on grids, so that deadlines fall on slot boundaries and
+    users tie exactly in deadline and laxity; some arrive after an idle gap,
+    several at once, and many expire."""
+    users = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 24),  # arrival, in quarter seconds
+                st.sampled_from([0.0, 0.0, 25.0]),  # an idle gap before some arrivals
+                st.sampled_from([0.05, 0.3, 1.0, 2.5, 6.0]),  # size
+                st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 7.5]),  # deadline after arrival
+            ),
+            max_size=7,
+        )
+    )
+    return [
+        req(uid, a / 4 + gap, size, a / 4 + gap + span)
+        for uid, (a, gap, size, span) in enumerate(users, start=1)
+    ]
+
+
+def same_run(new, ref):
+    """Equal outcomes, in equal order with exact completion times, and equal
+    trace records."""
+    return list(new.outcomes.items()) == list(ref.outcomes.items()) and new.trace == ref.trace
+
+
+class CountingPolicy:
+    """Serves the least-laxity user, smallest id on ties, and records how
+    many users each call was given."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.sizes = []
+
+    def select_arrays(self, uids, laxities, rates, deadlines):
+        self.sizes.append(len(uids))
+        return uids[laxities.index(min(laxities))]
+
+
+class TestRunTdmMatchesReference:
+    """run_tdm against the slot loop it replaced (tests/helpers.py), which
+    asks the policy at every busy slot and draws one rate per active user
+    per slot: every outcome and trace record must be equal."""
+
+    @given(
+        tdm_requests(),
+        st.sampled_from([0.1, 0.25, 0.5, 1 / 3, 1.0]),
+        st.sampled_from(POLICY_NAMES),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, requests, dt, name, traced, seed):
+        args = (requests, CHANNEL, make_policy(name), dt, seed, traced)
+        assert same_run(run_tdm(*args), reference_run_tdm(*args))
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_seeded_corpus(self, name, traced):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            m = int(rng.integers(1, 9))
+            arrivals = np.round(rng.uniform(0.0, 20.0, m) * 4) / 4
+            sizes = rng.choice([0.1, 0.7, 2.0, 5.0], m) * rng.uniform(0.5, 1.5, m)
+            spans = rng.choice([0.5, 2.0, 5.0, 12.0], m)
+            reqs = [
+                req(u + 1, float(a), float(s), float(a + d))
+                for u, (a, s, d) in enumerate(zip(arrivals, sizes, spans))
+            ]
+            dt = float(rng.choice([0.1, 0.25, 0.5]))
+            args = (reqs, CHANNEL, make_policy(name), dt, trial, traced)
+            assert same_run(run_tdm(*args), reference_run_tdm(*args)), (trial, reqs, dt)
+
+    # Lone-user stretches: how each ends, and the slot-boundary cases.
+    CASES = {
+        # user 2 arrives at 2.0 (slot 8): user 1's stretch ends at the admission
+        "ended-by-admission": ([req(1, 0.0, 50.0, 100.0), req(2, 2.0, 1.0, 100.0)], 0.25),
+        # 10 * 0.25 == 2.5 exactly: the deadline is a slot boundary
+        "ended-by-expiry-on-boundary": ([req(1, 0.0, 100.0, 2.5)], 0.25),
+        # 3 * 0.1 > 0.3 in floating point: user 1 expires at slot 3
+        "ended-by-expiry-rounded": ([req(1, 0.0, 100.0, 0.3), req(2, 1.0, 0.2, 9.0)], 0.1),
+        "ended-by-completion": ([req(1, 0.0, 0.6, 50.0), req(2, 0.0, 0.2, 40.0)], 0.1),
+        "idle-gap": ([req(1, 0.0, 0.5, 30.0), req(2, 500.0, 1.0, 540.0)], 0.25),
+        "simultaneous-admissions": (
+            [req(3, 1.0, 2.0, 9.0), req(1, 1.0, 1.0, 8.0), req(2, 1.0, 3.0, 9.0)],
+            0.5,
+        ),
+        # users 1 and 2 tie in deadline and laxity; 3 ties 1 and 2 in deadline
+        "exact-ties": (
+            [req(1, 0.0, 2.0, 6.0), req(2, 0.0, 2.0, 6.0), req(3, 0.0, 1.0, 6.0)],
+            0.25,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_pinned_cases(self, case, name):
+        self.check_seeds(*self.CASES[case], name)
+
+    # l-exp is left out: an infinite laxity makes every l-exp weight NaN, so
+    # the reference never serves a lone user whose deadline is infinite.
+    @pytest.mark.parametrize("name", [p for p in POLICY_NAMES if p != "l-exp"])
+    def test_infinite_deadline(self, name):
+        self.check_seeds([req(1, 0.0, 3.0, math.inf), req(2, 4.0, 1.0, 8.0)], 0.5, name)
+
+    @staticmethod
+    def check_seeds(requests, dt, name):
+        for seed in range(5):
+            for traced in (False, True):
+                args = (requests, CHANNEL, make_policy(name), dt, seed, traced)
+                assert same_run(run_tdm(*args), reference_run_tdm(*args))
+
+    def test_pinned_cases_end_stretches_as_named(self):
+        def run(case):
+            requests, dt = self.CASES[case]
+            return run_tdm(requests, CHANNEL, make_policy("edf"), dt, 1, record_trace=True)
+
+        rep = run("ended-by-admission")
+        assert [len(r.residuals) for r in rep.trace[:9]] == [1] * 8 + [2]
+        rep = run("ended-by-expiry-on-boundary")
+        assert rep.outcomes[1].status is FlowStatus.EXPIRED
+        assert [r.slot_index for r in rep.trace] == list(range(10))
+        rep = run("ended-by-expiry-rounded")
+        assert rep.outcomes[1].status is FlowStatus.EXPIRED
+        assert [r.slot_index for r in rep.trace][:3] == [0, 1, 2]
+        assert rep.trace[3].slot_index == 10  # idle from slot 3 until user 2 at 1.0
+        rep = run("ended-by-completion")
+        assert list(rep.outcomes) == [2, 1]  # edf serves 2 first, then 1 alone
+        assert all(r.decision == 1 for r in rep.trace if len(r.residuals) == 1)
+        last = rep.trace[-1]
+        assert rep.outcomes[1].completion_time == (last.slot_index + 1) * 0.1
+        rep = run("idle-gap")
+        assert rep.trace[-1].slot_index > 2000
+
+    def test_rate_buffer_refills_mid_slot(self, monkeypatch):
+        # a block shorter than the active set: a slot's rates span refills
+        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
+        requests = [req(u, 0.0, 0.5 * u, 20.0) for u in range(1, 8)]
+        for name in POLICY_NAMES:
+            args = (requests, CHANNEL, make_policy(name), 0.25, 9, True)
+            assert same_run(run_tdm(*args), reference_run_tdm(*args))
+
+
+class TestLoneUserRule:
+    """The policy is asked only when two or more users are active."""
+
+    REQUESTS = [
+        req(1, 0.0, 2.0, 40.0),
+        req(2, 3.0, 1.5, 12.0),
+        req(3, 3.0, 4.0, 9.0),
+        req(4, 30.0, 1.0, 31.0),
+        req(5, 60.0, 3.0, 70.0),
+    ]
+
+    def test_policy_never_sees_one_user(self):
+        policy = CountingPolicy()
+        run_tdm(self.REQUESTS, CHANNEL, policy, 0.25, seed=4)
+        assert policy.sizes and min(policy.sizes) >= 2
+
+    def test_trace_keeps_one_record_per_busy_slot(self):
+        policy = CountingPolicy()
+        rep = run_tdm(self.REQUESTS, CHANNEL, policy, 0.25, seed=4, record_trace=True)
+        ref = reference_run_tdm(self.REQUESTS, CHANNEL, CountingPolicy(), 0.25, 4, True)
+        assert rep.trace == ref.trace  # the reference asks at every busy slot
+        lone = [r for r in rep.trace if len(r.residuals) == 1]
+        assert lone and all(r.decision == next(iter(r.residuals)) for r in lone)
+        assert len(policy.sizes) == len(rep.trace) - len(lone)
+        slots = [r.slot_index for r in rep.trace]
+        assert slots == sorted(set(slots))
+

@@ -225,6 +225,12 @@ class TestFrameworkSelect:
     def test_empty_queue(self):
         assert select(self.policy(), []) is None
 
+    @pytest.mark.parametrize("name", ["l-maxweight", "l-exp", "l-log"])
+    def test_laxities_below_epsilon_are_clamped(self, name):
+        # laxities -0.5 and -1.5 lie between delta = -2 and epsilon: both
+        # clamp to epsilon, so at equal rates they tie and the smaller id wins
+        assert select(make_policy(name), [10.5, 11.5], [1.0, 1.0]) == 1
+
     def test_exp_group_mean_over_plus_group_only(self):
         # user 3 sits below delta and must not enter the group mean
         params = FrameworkParams(urgency=ExpUrgency(beta=0.05, zeta=1.0, eta=0.5))
@@ -278,6 +284,12 @@ class TestBaselines:
 
     def test_edf_tie(self):
         assert select(make_policy("edf"), [1.0, 1.0], deadlines=[7.0, 7.0]) == 1
+
+    def test_infinite_keys_still_choose(self):
+        # every deadline, and so every laxity, infinite: the smallest id
+        inf = math.inf
+        assert select(make_policy("edf"), [1.0, 1.0], deadlines=[inf, inf]) == 1
+        assert select(make_policy("llf"), [1.0, 1.0], deadlines=[inf, inf]) == 1
 
     def test_edf_empty(self):
         assert select(make_policy("edf"), []) is None
