@@ -9,6 +9,7 @@ is equivalent to checking all 2^k subsets.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,10 @@ _STRICT_TILT = 1e-12
 
 # Fewest Monte-Carlo samples estimate_gains accepts.
 MIN_SAMPLE_COUNT = 10_000
+
+# Samples per block of SINR draws in estimate_gains; the gains depend on it
+# through the order of the column sums.
+_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,32 @@ def _pav_decreasing(values: np.ndarray) -> np.ndarray:
     return np.repeat(vals, counts)
 
 
+def _reduce_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Column sums of ln(1 + best-of-k SINR) over a block of draws, written
+    to out. The block is overwritten: its prefix maxima across the user axis
+    (one column at a time, which gives the same values as
+    ``np.maximum.accumulate(block, axis=1)`` faster), then their log1p."""
+    for j in range(1, block.shape[1]):
+        np.maximum(block[:, j - 1], block[:, j], out=block[:, j])
+    np.log1p(block, out=block)
+    return block.sum(axis=0, out=out)
+
+
+def _reduce_blocks(blocks, sizes, filled, sums, errors) -> None:
+    """Helper-thread stage of estimate_gains: once both threads are past
+    ``filled`` for chunk i, reduce its block and add the column sums to sums
+    in chunk order. An error is stored for the caller and breaks the barrier,
+    so the main thread stops drawing instead of waiting."""
+    part = np.empty_like(sums)
+    try:
+        for i, m in enumerate(sizes):
+            filled.wait()
+            sums += _reduce_block(blocks[i % 2][:m], part)
+    except BaseException as exc:  # re-raised by estimate_gains
+        errors.append(exc)
+        filled.abort()
+
+
 def estimate_gains(
     mean_sinr: float, k_max: int, sample_count: int, seed: int
 ) -> GainProfile:
@@ -141,6 +172,13 @@ def estimate_gains(
     the strict monotonicity/concavity the region requires at large k, so the
     increments are repaired by an isotonic (non-increasing) projection plus a
     vanishing tilt, then rescaled so g_1 is exactly 1.
+
+    The work runs as a two-stage pipeline on one helper thread, whatever the
+    CLI's --jobs: the calling thread draws the next block of SINRs into one
+    of two buffers while the helper reduces the previous block. Draws, block
+    sizes and summation order are those of a serial loop over the blocks, so
+    the profile equals that loop's bit for bit. The helper has ended when
+    this returns or raises.
     """
     if mean_sinr <= 0.0:
         raise ValueError("mean_sinr must be > 0")
@@ -150,15 +188,32 @@ def estimate_gains(
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT} for a usable estimate")
 
     rng = generator_from(seed)
+    rows = min(_CHUNK_ROWS, sample_count)
+    sizes = [min(rows, sample_count - start) for start in range(0, sample_count, rows)]
+    blocks = [np.empty((rows, k_max)) for _ in sizes[:2]]
     sums = np.zeros(k_max)
-    remaining = sample_count
-    chunk = 1 << 15
-    while remaining > 0:
-        m = min(chunk, remaining)
-        draws = rng.exponential(mean_sinr, size=(m, k_max))
-        np.maximum.accumulate(draws, axis=1, out=draws)
-        sums += np.log1p(draws).sum(axis=0)
-        remaining -= m
+    filled = threading.Barrier(2)
+    errors: list[BaseException] = []
+    helper = threading.Thread(
+        target=_reduce_blocks, args=(blocks, sizes, filled, sums, errors), daemon=True
+    )
+    helper.start()
+    try:
+        for i, m in enumerate(sizes):
+            block = blocks[i % 2][:m]
+            # the same doubles as rng.exponential(mean_sinr, size=(m, k_max))
+            rng.standard_exponential(out=block)
+            block *= mean_sinr
+            filled.wait()
+    except threading.BrokenBarrierError:
+        pass  # the helper failed and broke the barrier; its error is raised below
+    except BaseException:
+        filled.abort()  # the helper may be waiting for a block that will not come
+        raise
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     # log base cancels in the ratio to the single-user mean
     ratios = sums / sums[0]
 

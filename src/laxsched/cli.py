@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .capacity import MIN_SAMPLE_COUNT, GainProfile, estimate_gains
@@ -420,6 +419,9 @@ def _map(fn, items: list, jobs: int, chunksize: int) -> list:
     """fn over items, in order, on up to jobs worker processes."""
     if jobs <= 1:
         return [fn(item) for item in items]
+    # imported here: loading it costs every serial command about 20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 

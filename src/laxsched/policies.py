@@ -182,16 +182,19 @@ class FrameworkPolicy:
                     if w > best_w:
                         best_w, best_uid = w, u
         elif isinstance(urg, ExpUrgency):
-            beta = urg.beta
-            scaled = [beta * (eps if eps > lax else lax) for lax in laxities if lax >= delta]
-            if scaled:
-                scale = urg.zeta + (sum(scaled) / len(scaled)) ** urg.eta
-                exp = math.exp
-                for u, lax, r in zip(uids, laxities, rates):
-                    if lax >= delta:
+            # An infinite laxity would make the group mean infinite and every
+            # weight inf/inf = NaN: such a user weighs 0 and stays out of the mean.
+            beta, inf = urg.beta, math.inf
+            scaled = [beta * (eps if eps > lax else lax) for lax in laxities if delta <= lax < inf]
+            scale = urg.zeta + (sum(scaled) / len(scaled)) ** urg.eta if scaled else inf
+            exp = math.exp
+            for u, lax, r in zip(uids, laxities, rates):
+                if lax >= delta:
+                    w = 0.0
+                    if lax < inf:
                         w = kappa * r * exp(-beta * (eps if eps > lax else lax) / scale)
-                        if w > best_w:
-                            best_w, best_uid = w, u
+                    if w > best_w:
+                        best_w, best_uid = w, u
         else:
             beta, zeta = urg.beta, urg.zeta
             log = math.log

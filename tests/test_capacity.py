@@ -1,11 +1,13 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
+from laxsched import capacity
 from laxsched.capacity import GainProfile, _pav_decreasing, estimate_gains
 
-from helpers import brute_force_in_region, gain_quadrature
+from helpers import brute_force_in_region, gain_quadrature, reference_estimate_gains
 
 # frozen quadrature value for the two-user gain (unit-mean exponential SINR)
 G2_QUADRATURE = 1.3940970653737912
@@ -139,6 +141,72 @@ class TestEstimateGains:
             estimate_gains(0.0, 4, 20_000, seed=1)
         with pytest.raises(ValueError):
             estimate_gains(1.0, 0, 20_000, seed=1)
+
+
+def estimate_gains_bounded(*args):
+    """The raised error of estimate_gains(*args), or None, run on a thread
+    so that a pipeline that deadlocks fails the test instead of hanging it."""
+    errors = []
+
+    def call():
+        try:
+            estimate_gains(*args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30.0)
+    assert not caller.is_alive(), "estimate_gains did not return"
+    return errors[0] if errors else None
+
+
+class TestEstimateGainsMatchesReference:
+    """The helper-thread pipeline against the serial loop it replaced."""
+
+    # 10 000 and 32 768 fill at most one block, 32 769 leaves a one-row
+    # last block, 65 536 is exactly two blocks and 200 000 ends part-way
+    @pytest.mark.parametrize("sample_count", [10_000, 32_768, 32_769, 65_536, 200_000])
+    @pytest.mark.parametrize("k_max", [1, 2, 8, 15, 30])
+    @pytest.mark.parametrize("mean_sinr", [0.5, 1.0, 2.5])
+    def test_tables_are_byte_identical(self, mean_sinr, k_max, sample_count):
+        for seed in (1, 7, 2024):
+            args = (mean_sinr, k_max, sample_count, seed)
+            assert estimate_gains(*args).to_table() == reference_estimate_gains(*args).to_table()
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        assert estimate_gains_bounded(1.0, 15, 100_000, 4) is None
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [0, 2])
+    def test_reduce_error_reaches_the_caller(self, monkeypatch, fail_at):
+        # fail_at 2 is the last of three blocks, reduced after the last draw
+        real, calls = capacity._reduce_block, []
+
+        def reduce_block(block, out):
+            calls.append(len(block))
+            if len(calls) > fail_at:
+                raise RuntimeError("reduce failed")
+            return real(block, out)
+
+        monkeypatch.setattr(capacity, "_reduce_block", reduce_block)
+        before = threading.active_count()
+        error = estimate_gains_bounded(1.0, 4, 80_000, 1)
+        assert isinstance(error, RuntimeError) and str(error) == "reduce failed"
+        assert threading.active_count() == before
+        assert len(calls) == fail_at + 1
+
+    def test_draw_error_stops_the_helper(self, monkeypatch):
+        class Broken:
+            def standard_exponential(self, out):
+                raise MemoryError("draw failed")
+
+        monkeypatch.setattr(capacity, "generator_from", lambda seed: Broken())
+        before = threading.active_count()
+        error = estimate_gains_bounded(1.0, 4, 80_000, 1)
+        assert isinstance(error, MemoryError) and str(error) == "draw failed"
+        assert threading.active_count() == before
 
 
 class TestTableIO:

@@ -634,9 +634,7 @@ class TestRunTdmMatchesReference:
     def test_pinned_cases(self, case, name):
         self.check_seeds(*self.CASES[case], name)
 
-    # l-exp is left out: an infinite laxity makes every l-exp weight NaN, so
-    # the reference never serves a lone user whose deadline is infinite.
-    @pytest.mark.parametrize("name", [p for p in POLICY_NAMES if p != "l-exp"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_infinite_deadline(self, name):
         self.check_seeds([req(1, 0.0, 3.0, math.inf), req(2, 4.0, 1.0, 8.0)], 0.5, name)
 

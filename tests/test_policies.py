@@ -231,6 +231,14 @@ class TestFrameworkSelect:
         # clamp to epsilon, so at equal rates they tie and the smaller id wins
         assert select(make_policy(name), [10.5, 11.5], [1.0, 1.0]) == 1
 
+    @pytest.mark.parametrize("name", ["l-maxweight", "l-exp", "l-log"])
+    def test_infinite_laxity_still_chooses(self, name):
+        # an infinite laxity weighs 0: a finite candidate wins, and among
+        # infinite ones the smallest id
+        inf = math.inf
+        assert select(make_policy(name), [1.0, 1.0], deadlines=[inf, 10.0]) == 2
+        assert select(make_policy(name), [1.0, 1.0], deadlines=[inf, inf]) == 1
+
     def test_exp_group_mean_over_plus_group_only(self):
         # user 3 sits below delta and must not enter the group mean
         params = FrameworkParams(urgency=ExpUrgency(beta=0.05, zeta=1.0, eta=0.5))

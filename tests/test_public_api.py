@@ -11,7 +11,7 @@ import pytest
 
 import laxsched
 
-from helpers import scipy_modules_after
+from helpers import modules_after, scipy_modules_after
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(laxsched.__path__) if m.name != "__main__")
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
@@ -53,6 +53,13 @@ def test_import_loads_no_scipy():
     # scipy is imported only by the oracle's witness LP, which runs when a
     # caller first reads a feasible verdict's witness
     assert scipy_modules_after("import laxsched, laxsched.cli") == []
+
+
+def test_serial_use_loads_no_process_pool():
+    # cli._map imports the process pool only for --jobs > 1, and gain
+    # estimation uses a bare thread
+    code = "import laxsched.cli\nlaxsched.estimate_gains(1.0, 4, 40_000, 1)"
+    assert modules_after(code, "concurrent.futures", "multiprocessing") == []
 
 
 def test_verdicts_load_no_scipy(tmp_path):
