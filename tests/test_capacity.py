@@ -162,7 +162,7 @@ def estimate_gains_bounded(*args):
 
 
 class TestEstimateGainsMatchesReference:
-    """The helper-thread pipeline against the serial loop it replaced."""
+    """The helper-thread pipeline against a serial loop over the same blocks."""
 
     # 10 000 and 32 768 fill at most one block, 32 769 leaves a one-row
     # last block, 65 536 is exactly two blocks and 200 000 ends part-way
