@@ -3,8 +3,10 @@ fluid policy complete exactly the instances the oracle accepts.
 
 The oracle computes a signed capacity margin exactly, by a dynamic program
 over the users in arrival order, and produces either a replayable witness
-schedule (from one LP over the arrival-epoch partition) or a user subset
-whose demand provably exceeds its available capacity.
+schedule or a user subset whose demand provably exceeds its available
+capacity. The witness is the exact continuous-time L2HPR schedule, averaged
+over each arrival epoch: under a common deadline the fluid policy itself is
+optimal.
 """
 
 from laxsched import (

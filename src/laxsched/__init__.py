@@ -9,7 +9,7 @@ channel   -- Rayleigh/Shannon normalized rate sampling
 traffic   -- request generators and the truncated-lognormal size law
 policies  -- fluid laxity-ranked allocation; framework and baseline TDM policies
 engine    -- slotted fluid/TDM simulation loops, lockstep fluid batches, laxity-history tracking
-oracle    -- exact schedulability margin and certificate; LP witness built on first read
+oracle    -- exact schedulability margin and certificate; L2HPR witness built on first read
 cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
 
@@ -45,7 +45,6 @@ from .oracle import (
     FeasibilityResult,
     feasible,
     replay_witness,
-    schedulability_frontier,
     subset_capacity,
     witness_text,
 )

@@ -10,27 +10,25 @@ rho = min over S of f(S)/F(S) >= 1, F(S) the set's total file size
 max over S of t*F(S) - f(S) is an O(M^2) dynamic program over the users in
 arrival order whose state is how many members were taken. Dinkelbach
 iterations t <- f(S)/F(S) on it reach rho in a few steps; at t = 1 it gives
-the most overloaded set, the certificate of an infeasible instance. Only the
-witness of a feasible instance needs a linear program, and only it imports
-scipy; it is built when a caller first reads ``FeasibilityResult.witness``,
-so a verdict alone never loads scipy.
+the most overloaded set, the certificate of an infeasible instance.
+
+Under a common deadline the continuous-time limit of L2HPR is an optimal
+schedule, so it is the witness of a feasible instance, computed exactly by
+an event loop of O(M) events at O(M) each. It is built when a caller first reads
+``FeasibilityResult.witness``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .capacity import GainProfile
-from .channel import ChannelModel
 from .core import DownloadRequest, common_deadline, validate_requests
-from .engine import run_fluid, run_tdm
-from .seeding import child_seed, generator_from
-from .traffic import FileSizeLaw, IdenticalDeadlineSpec, gen_identical_deadline
 
 __all__ = [
     "FeasibilityProblem",
@@ -40,8 +38,6 @@ __all__ = [
     "replay_witness",
     "witness_text",
     "subset_capacity",
-    "FrontierPoint",
-    "schedulability_frontier",
 ]
 
 
@@ -112,13 +108,12 @@ class FeasibilityResult:
 
     @cached_property
     def witness(self) -> tuple[dict[int, float], ...] | None:
-        """Per-interval rates that finish every file (see ``_witness``), or
-        None for an infeasible instance.
+        """Per-interval average rates of the L2HPR schedule, which finishes
+        every file (see ``_witness``), or None for an infeasible instance.
 
-        Built from the witness LP on first read and cached, so an LP failure
-        surfaces here as RuntimeError, not in ``feasible``.
+        Built on first read and cached, so a verdict alone does not pay for it.
         """
-        return _witness(self.problem) if self.feasible else None
+        return _witness(self.problem, 1.0 + self.margin) if self.feasible else None
 
 
 def subset_capacity(
@@ -209,68 +204,90 @@ def feasible(
     )
 
 
-def _witness(problem: FeasibilityProblem) -> tuple[dict[int, float], ...]:
-    """Per-interval rates that finish every file, from the LP that maximises
-    the common demand scale t over the epoch partition.
+def _l2hpr_limit(
+    arrivals: Sequence[float], sizes: Sequence[float], gains: Sequence[float]
+) -> tuple[list[list[float]], list[float]]:
+    """The continuous-time limit of L2HPR under one common deadline, exactly.
 
-    y[i,k] is the data user i gets in interval k of length l_k, from users
-    arrived by its start. The m largest y[.,k] must sum to at most g_m*l_k;
-    for 1 < m < n_k that is m*lam + sum_i u_i <= g_m*l_k with u_i >= y[i,k] -
-    lam, u_i >= 0 and lam free (Ogryczak and Tamir, 2003). Rates are scaled
-    by (1 + 1e-9)/t*, so replay delivers every file with a little to spare.
+    Users rank by residual, largest first, and a group of m tied users at
+    ranks j+1..j+m gets (g_{j+m} - g_j)/m each, so tied users stay tied: the
+    level algorithm of Horvath, Lam and Sethi (J. ACM 24(1), 1977) with the
+    marginal gains as processor speeds. Between events every rate is
+    constant; the events are an arrival, the merge of two adjacent groups
+    and the completion of the bottom group.
+
+    Returns every user's residual at each distinct arrival time (a user yet
+    to arrive holds its size) and every user's completion time. Residuals
+    never rise: a merge keeps the lower level, and a level stops at 0.
     """
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
+    pending = sorted(range(len(sizes)), key=lambda i: arrivals[i], reverse=True)
+    left, done = list(sizes), [math.inf] * len(sizes)
+    snapshots: list[list[float]] = []
+    groups: list[list] = []  # [level, members], levels nonincreasing
+    t = 0.0
+    while pending or groups:
+        rates, j = [], 0
+        for _, members in groups:
+            rates.append((gains[j + len(members)] - gains[j]) / len(members))
+            j += len(members)
+        # event k: group k meets the group below, the bottom one meeting
+        # level 0 at rate 0 (completion); event -1: the next arrival
+        levels = [level for level, _ in groups] + [0.0]
+        rates.append(0.0)
+        events = [
+            ((levels[k] - levels[k + 1]) / (rates[k] - rates[k + 1]), k) for k in range(len(groups))
+        ]
+        if pending:
+            events.append((arrivals[pending[-1]] - t, -1))
+        dt, event = min(events)
+        dt = max(dt, 0.0)
+        for group, rate in zip(groups, rates):
+            group[0] = max(group[0] - rate * dt, 0.0)
+        t = arrivals[pending[-1]] if event < 0 else t + dt
+        if event < 0:
+            for level, members in groups:
+                for i in members:
+                    left[i] = level
+            snapshots.append(list(left))
+            while pending and arrivals[pending[-1]] == t:
+                # a newcomer tied with a group meets it at once, at dt = 0
+                i = pending.pop()
+                k = next((k for k, grp in enumerate(groups) if grp[0] <= sizes[i]), len(groups))
+                groups.insert(k, [sizes[i], [i]])
+        elif event == len(groups) - 1:
+            for i in groups.pop()[1]:
+                left[i], done[i] = 0.0, t
+        else:
+            lower = groups.pop(event + 1)
+            groups[event][0] = min(groups[event][0], lower[0])
+            groups[event][1].extend(lower[1])
+    return snapshots, done
 
-    reqs, g = problem.requests, problem.gains.gains
-    bounds: list[tuple[float | None, float | None]] = [(0.0, None)]  # column 0: t
-    ub: list[tuple[int, int, float]] = []  # (row, column, value) entries of A_ub
-    b_ub: list[float] = []
-    eq = [(i, 0, -r.initial_size) for i, r in enumerate(reqs)]
-    intervals = []  # (length, [(request index, column of y)])
 
-    def columns(n: int, low: float | None, high: float | None = None) -> range:
-        bounds.extend([(low, high)] * n)
-        return range(len(bounds) - n, len(bounds))
+def _witness(problem: FeasibilityProblem, rho: float) -> tuple[dict[int, float], ...]:
+    """Per-interval rates that finish every file: the average rates of the
+    L2HPR limit over the epoch partition, keyed by the users arrived by each
+    interval's start.
 
-    for start, end in zip(problem.epochs, problem.epochs[1:]):
-        length = end - start
-        eligible = [i for i, r in enumerate(reqs) if r.arrival_time <= start]
-        ys = columns(len(eligible), 0.0, g[1] * length)
-        intervals.append((length, list(zip(eligible, ys))))
-        eq += [(i, y, 1.0) for i, y in zip(eligible, ys)]
-        ub += [(len(b_ub), y, 1.0) for y in ys]
-        b_ub.append(g[len(ys)] * length)
-        for m in range(2, len(ys)):
-            lam = columns(1, None)[0]
-            excess = columns(len(ys), 0.0)
-            ub += [(len(b_ub), lam, float(m))] + [(len(b_ub), u, 1.0) for u in excess]
-            b_ub.append(g[m] * length)
-            for y, u in zip(ys, excess):
-                ub += [(len(b_ub), y, 1.0), (len(b_ub), lam, -1.0), (len(b_ub), u, -1.0)]
-                b_ub.append(0.0)
-
-    def matrix(entries: list[tuple[int, int, float]], n_rows: int):
-        rows, cols, values = zip(*entries)
-        return coo_matrix((values, (rows, cols)), shape=(n_rows, len(bounds))).tocsr()
-
-    c = np.zeros(len(bounds))
-    c[0] = -1.0  # maximize t
-    res = linprog(
-        c,
-        A_ub=matrix(ub, len(b_ub)),
-        b_ub=b_ub,
-        A_eq=matrix(eq, len(reqs)),
-        b_eq=np.zeros(len(reqs)),
-        bounds=bounds,
-        method="highs",
+    The limit runs on sizes scaled by s = min(1, rho), so it ends by the
+    deadline even for a verdict accepted with rho just below 1, and the rates
+    are scaled by (1 + 1e-9)/s, so replay delivers every file with a little
+    to spare. Averages of rate vectors in the region stay in the region.
+    """
+    reqs, epochs = problem.requests, problem.epochs
+    s = min(1.0, rho)
+    snapshots, _ = _l2hpr_limit(
+        [r.arrival_time for r in reqs], [s * r.initial_size for r in reqs], problem.gains.gains
     )
-    if not res.success:
-        raise RuntimeError(f"witness LP failed: {res.message}")
-    scale = (1.0 + 1e-9) / float(res.x[0])
+    snapshots.append([0.0] * len(reqs))  # every file is done by the deadline
+    scale = (1.0 + 1e-9) / s
     return tuple(
-        {reqs[i].user_id: float(res.x[y]) * scale / length for i, y in users}
-        for length, users in intervals
+        {
+            r.user_id: (before[i] - after[i]) * scale / (end - start)
+            for i, r in enumerate(reqs)
+            if r.arrival_time <= start
+        }
+        for start, end, before, after in zip(epochs, epochs[1:], snapshots, snapshots[1:])
     )
 
 
@@ -300,61 +317,3 @@ def replay_witness(
                 return False
             residual[uid] = max(0.0, residual[uid] - rate * (end - start))
     return all(v == 0.0 for v in residual.values())
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    deadline: float
-    seed: int
-    oracle_feasible: bool
-    oracle_borderline: bool
-    margin: float
-    policy_schedulable: dict[str, bool]
-
-
-def schedulability_frontier(
-    spec: IdenticalDeadlineSpec,
-    law: FileSizeLaw,
-    gains: GainProfile,
-    deadlines: Sequence[float],
-    seeds: Sequence[int],
-    slot_length_frac: float = 1e-3,
-    tdm_policies: Sequence = (),
-    channel: ChannelModel | None = None,
-) -> list[FrontierPoint]:
-    """Oracle feasibility and per-policy completion across a deadline sweep.
-
-    Each seed reuses its file sizes across the sweep (arrival times scale
-    with a*D), so the feasible count is non-decreasing in the deadline.
-    """
-    if tdm_policies and channel is None:
-        raise ValueError("TDM policies need a channel model")
-    points = []
-    for d in deadlines:
-        spec_d = replace(spec, deadline=d)
-        for seed in seeds:
-            requests = gen_identical_deadline(spec_d, law, generator_from(seed))
-            verdict = feasible(FeasibilityProblem.from_requests(requests, gains))
-            sched: dict[str, bool] = {}
-            report = run_fluid(requests, gains, slot_length=slot_length_frac * d)
-            sched["l2hpr"] = report.schedulable
-            for idx, policy in enumerate(tdm_policies):
-                rep = run_tdm(
-                    requests,
-                    channel,
-                    policy,
-                    slot_length=slot_length_frac * d,
-                    seed=child_seed(seed, 1000 + idx),
-                )
-                sched[policy.name] = rep.schedulable
-            points.append(
-                FrontierPoint(
-                    deadline=d,
-                    seed=seed,
-                    oracle_feasible=verdict.feasible,
-                    oracle_borderline=verdict.borderline,
-                    margin=verdict.margin,
-                    policy_schedulable=sched,
-                )
-            )
-    return points
