@@ -27,6 +27,7 @@ from helpers import (
     brute_force_rho,
     exhaustive_grid_feasible,
     quadrature_gain_profile,
+    scipy_modules_after,
     subset_feasible,
     witness_region_problems,
 )
@@ -163,6 +164,16 @@ class TestLazyWitness:
         prob = problem(self.REQS)
         res = feasible(prob)
         assert res.witness == _witness(prob, 1.0 + res.margin)
+
+    def test_infeasible_is_none_without_scipy(self):
+        code = (
+            "from laxsched import DownloadRequest, FeasibilityProblem, GainProfile, feasible\n"
+            "gains = GainProfile((0.0, 1.0, 1.394097))\n"
+            "reqs = [DownloadRequest(1, 0.0, 9.0, 10.0), DownloadRequest(2, 2.0, 8.0, 10.0)]\n"
+            "res = feasible(FeasibilityProblem.from_requests(reqs, gains))\n"
+            "assert not res.feasible and res.witness is None"
+        )
+        assert scipy_modules_after(code) == []
 
     def test_equality_ignores_whether_witness_was_read(self):
         prob = problem(self.REQS)

@@ -49,6 +49,12 @@ def test_demo_imports_exist(demo):
     assert not missing, f"{demo.name} imports undefined names {missing}"
 
 
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package and the CLI
+    # never loads it
+    assert scipy_modules_after("import laxsched, laxsched.cli") == []
+
+
 def test_serial_use_loads_no_process_pool():
     # cli._map imports the process pool only for --jobs > 1, and gain
     # estimation uses a bare thread
