@@ -14,12 +14,7 @@ cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
 
 from .capacity import GainProfile, estimate_gains
-from .channel import (
-    ChannelModel,
-    mean_spectral_efficiency,
-    sample_normalized_rate,
-    sample_normalized_rates,
-)
+from .channel import ChannelModel, mean_spectral_efficiency, sample_normalized_rates
 from .core import (
     DownloadRequest,
     FlowStatus,
@@ -54,9 +49,6 @@ from .policies import (
     LogUrgency,
     MaxWeightUrgency,
     make_policy,
-    urgency_exp,
-    urgency_log,
-    urgency_maxweight,
 )
 from .traffic import (
     FileSizeLaw,
@@ -64,10 +56,7 @@ from .traffic import (
     StationaryArrivalSpec,
     gen_identical_deadline,
     gen_stationary,
-    read_requests,
-    sample_file_size,
     sample_file_sizes,
-    write_requests,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ChannelModel",
     "mean_spectral_efficiency",
-    "sample_normalized_rate",
     "sample_normalized_rates",
 ]
 
@@ -54,8 +53,8 @@ def mean_spectral_efficiency(mean_sinr: float) -> float:
 
     Within about two ulps of the exact value; strictly increasing in mean_sinr.
     """
-    if mean_sinr <= 0.0:
-        raise ValueError("mean_sinr must be > 0")
+    if not 0.0 < mean_sinr < math.inf:
+        raise ValueError("mean_sinr must be finite and > 0")
     return _scaled_exp1(1.0 / mean_sinr) / _LN2
 
 
@@ -73,22 +72,16 @@ class ChannelModel:
     mean_rate_bps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be > 0")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth_hz must be finite and > 0")
         se = mean_spectral_efficiency(self.mean_sinr)
         object.__setattr__(self, "spectral_efficiency", se)
         object.__setattr__(self, "mean_rate_bps", self.bandwidth_hz * se)
 
 
-def sample_normalized_rate(model: ChannelModel, rng: np.random.Generator) -> float:
-    """One draw of B*log2(1+g)/mean_rate; nonnegative with mean 1."""
-    gamma = rng.exponential(model.mean_sinr)
-    return math.log1p(gamma) / (_LN2 * model.spectral_efficiency)
-
-
 def sample_normalized_rates(
     model: ChannelModel, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Vector of n i.i.d. normalized rate draws."""
+    """n i.i.d. draws of B*log2(1+g)/mean_rate; nonnegative with mean 1."""
     gammas = rng.exponential(model.mean_sinr, size=n)
     return np.log1p(gammas) / (_LN2 * model.spectral_efficiency)

@@ -2,9 +2,10 @@
 management, oracle checks, and the preset experiment families.
 
 Config files are flat ``key = value`` text with dotted sections and ``#``
-comments. Results are CSV with a mandatory header, '.' decimals, and '\\n'
-line endings; identical (config, seed) pairs produce byte-identical output
-regardless of --jobs.
+comments. Every key must be one that the config's run reads
+(``_CONFIG_KEYS``), and none may repeat. Results are CSV with a mandatory
+header, '.' decimals, and '\\n' line endings; identical (config, seed) pairs
+produce byte-identical output regardless of --jobs.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -12,22 +13,16 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .capacity import MIN_SAMPLE_COUNT, GainProfile, estimate_gains
 from .channel import ChannelModel
 from .engine import SimReport, run_fluid, run_fluid_batch, run_tdm
 from .oracle import FeasibilityProblem, feasible
-from .policies import (
-    ExpUrgency,
-    FrameworkParams,
-    LogUrgency,
-    MaxWeightUrgency,
-    POLICY_NAMES,
-    make_policy,
-)
+from .policies import _URGENCIES, POLICY_NAMES, FrameworkParams, make_policy
 from .seeding import child_generator, child_seed
 from .traffic import (
     FileSizeLaw,
@@ -62,16 +57,20 @@ class ConfigError(Exception):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; later keys override."""
+    """Flat key=value lines; '#' starts a comment; a repeated key is an error."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -89,9 +88,83 @@ def _get(kv: dict[str, str], key: str, cast, default=None):
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return cast(kv[key])
+        value = cast(kv[key])
+        if value != value:  # NaN, which no setting means
+            raise ValueError(kv[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {kv[key]!r}") from exc
+    return value
+
+
+def _built(what: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), its ValueError turned into a ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+_MODES = ("fluid", "tdm")
+_FRAMEWORK = tuple(_URGENCIES)
+
+# Every config key, and the runs that read it: "" every run; a mode or a
+# traffic kind, the runs of that mode or traffic.kind; a tuple of policies,
+# the runs listing one of them (the policy.* overrides). run and oracle-check
+# reject a key that their config's run does not read. gains reads
+# traffic.user_count, channel.mean_sinr and gains.k_max/samples, and rejects
+# only keys missing here, so a run config feeds it too.
+_CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
+    "mode": "",
+    "traffic.kind": "",
+    "traffic.user_count": "identical",
+    "traffic.arrival_spread": "identical",
+    "traffic.rate": "stationary",
+    "traffic.horizon": "stationary",
+    "sweep.variable": "",
+    "sweep.values": "",
+    "policy.names": "",
+    "replications": "",
+    "slot_length": "",
+    "channel.bandwidth_hz": "",
+    "channel.mean_sinr": "",
+    "size.mean_mb": "",
+    "size.std_mb": "",
+    "size.max_mb": "",
+    "gains.path": "fluid",
+    "gains.k_max": "fluid",
+    "gains.samples": "fluid",
+    "policy.delta": _FRAMEWORK,
+    "policy.epsilon": _FRAMEWORK,
+    "policy.kappa": _FRAMEWORK,
+    "policy.alpha": ("l-maxweight",),
+    "policy.exp_beta": ("l-exp",),
+    "policy.exp_zeta": ("l-exp",),
+    "policy.exp_eta": ("l-exp",),
+    "policy.log_beta": ("l-log",),
+    "policy.log_zeta": ("l-log",),
+}
+
+
+def _reject_unknown_keys(kv: dict[str, str]) -> None:
+    for key in kv:
+        if key not in _CONFIG_KEYS:
+            import difflib  # only on this error path, so parsing pays no import
+
+            (near,) = difflib.get_close_matches(key, _CONFIG_KEYS, n=1, cutoff=0.0)
+            raise ConfigError(f"unknown config key {key!r}; did you mean {near!r}?")
+
+
+def _reject_unread_keys(kv: dict[str, str], mode: str, kind: str, policies) -> None:
+    for key in kv:
+        scope = _CONFIG_KEYS[key]
+        if isinstance(scope, tuple):
+            if not set(scope) & set(policies):
+                raise ConfigError(
+                    f"{key} is read only by {'/'.join(scope)}, not by any policy in policy.names"
+                )
+        elif scope not in ("", mode, kind):
+            field, value = ("mode", mode) if scope in _MODES else ("traffic.kind", kind)
+            raise ConfigError(f"{key} is read only when {field} = {scope}, not {value}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +191,29 @@ class ExperimentConfig:
 
 
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
+    _reject_unknown_keys(kv)
     mode = _get(kv, "mode", str)
-    if mode not in ("fluid", "tdm"):
+    if mode not in _MODES:
         raise ConfigError(f"mode must be fluid or tdm, got {mode!r}")
     kind = _get(kv, "traffic.kind", str)
     if kind not in ("identical", "stationary"):
         raise ConfigError(f"traffic.kind must be identical or stationary, got {kind!r}")
+
+    policies = tuple(
+        p.strip() for p in _get(kv, "policy.names", str).split(",") if p.strip()
+    )
+    if not policies:
+        raise ConfigError("policy.names must list at least one policy")
+    for i, p in enumerate(policies):
+        if p != "l2hpr" and p not in POLICY_NAMES:
+            raise ConfigError(f"unknown policy {p!r}")
+        if p in policies[:i]:
+            raise ConfigError(f"policy.names lists {p!r} more than once")
+    if mode == "fluid" and set(policies) != {"l2hpr"}:
+        raise ConfigError("fluid mode runs exactly the l2hpr policy")
+    if mode == "tdm" and "l2hpr" in policies:
+        raise ConfigError("l2hpr is fluid-only; tdm mode takes the heuristic/baseline policies")
+    _reject_unread_keys(kv, mode, kind, policies)
 
     replications = _get(kv, "replications", int)
     if replications < 1:
@@ -140,76 +230,53 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     if list(sweep_values) != sorted(sweep_values):
         raise ConfigError("sweep.values must be sorted ascending")
 
-    policies = tuple(
-        p.strip() for p in _get(kv, "policy.names", str).split(",") if p.strip()
-    )
-    if not policies:
-        raise ConfigError("policy.names must list at least one policy")
-    for i, p in enumerate(policies):
-        if p != "l2hpr" and p not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {p!r}")
-        if p in policies[:i]:
-            raise ConfigError(f"policy.names lists {p!r} more than once")
-    if mode == "fluid" and set(policies) != {"l2hpr"}:
-        raise ConfigError("fluid mode runs exactly the l2hpr policy")
-    if mode == "tdm" and "l2hpr" in policies:
-        raise ConfigError("l2hpr is fluid-only; tdm mode takes the heuristic/baseline policies")
-
     if kind == "identical":
         if sweep_variable != "deadline":
             raise ConfigError("identical traffic sweeps the deadline")
         user_count = _get(kv, "traffic.user_count", int)
         spread = _get(kv, "traffic.arrival_spread", float, 0.0)
         rate = horizon = None
-        IdenticalDeadlineSpec(user_count, sweep_values[0], spread)  # validate early
+        for value in sweep_values:  # every sweep value, checked before any run
+            _built(f"traffic at {value:g}", IdenticalDeadlineSpec, user_count, value, spread)
     else:
         if mode == "fluid":
             raise ConfigError("fluid mode needs identical-deadline traffic")
         if sweep_variable != "stretch":
             raise ConfigError("stationary traffic sweeps the stretch factor")
-        if any(v <= 1.0 for v in sweep_values):
-            raise ConfigError("stretch sweep values must be > 1")
         rate = _get(kv, "traffic.rate", float)
         horizon = _get(kv, "traffic.horizon", float)
         user_count = None
         spread = 0.0
-        StationaryArrivalSpec(rate, sweep_values[0], horizon)
+        for value in sweep_values:
+            _built(f"traffic at {value:g}", StationaryArrivalSpec, rate, value, horizon)
 
-    channel = ChannelModel(
+    channel = _built(
+        "channel",
+        ChannelModel,
         bandwidth_hz=_get(kv, "channel.bandwidth_hz", float, 800e3),
         mean_sinr=_get(kv, "channel.mean_sinr", float, 1.0),
     )
-    law = FileSizeLaw(
+    law = _built(
+        "size law",
+        FileSizeLaw,
         mean_mb=_get(kv, "size.mean_mb", float, 2.0),
         std_mb=_get(kv, "size.std_mb", float, 0.722),
         max_mb=_get(kv, "size.max_mb", float, 5.0),
         mean_rate_bps=channel.mean_rate_bps,
     )
 
-    overrides = {}
-    for key in (
-        "policy.delta",
-        "policy.epsilon",
-        "policy.kappa",
-        "policy.alpha",
-        "policy.exp_beta",
-        "policy.exp_zeta",
-        "policy.exp_eta",
-        "policy.log_beta",
-        "policy.log_zeta",
-    ):
-        if key in kv:
-            overrides[key.removeprefix("policy.")] = _get(kv, key, float)
+    overrides = {
+        key.removeprefix("policy."): _get(kv, key, float)
+        for key, scope in _CONFIG_KEYS.items()
+        if isinstance(scope, tuple) and key in kv
+    }
 
     slot_length = _get(kv, "slot_length", float, 0.0)
-    if slot_length < 0.0:
-        raise ConfigError("slot_length must be > 0 (omit or set 0 for the default rule)")
+    if not 0.0 <= slot_length < math.inf:
+        raise ConfigError("slot_length must be finite and > 0 (omit or 0 for the default rule)")
 
     for name in policies:
-        try:
-            _framework_params(name, overrides)
-        except ValueError as exc:
-            raise ConfigError(f"invalid parameters for {name}: {exc}") from exc
+        _built(f"parameters for {name}", _framework_params, name, overrides)
     gains_k_max, gains_samples = _gain_settings(kv, user_count)
 
     return ExperimentConfig(
@@ -233,16 +300,10 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     )
 
 
-def _default_k_max(user_count: int | None) -> int:
-    """Gain table size when gains.k_max is not set: enough for the
-    configured batch, and at least 15."""
-    return max(15, user_count or 0)
-
-
 def _gain_settings(kv: dict[str, str], user_count: int | None) -> tuple[int, int]:
     """gains.k_max and gains.samples, rejected here if estimate_gains would
-    reject them."""
-    k_max = _get(kv, "gains.k_max", int, _default_k_max(user_count))
+    reject them. k_max defaults to enough for the batch, and at least 15."""
+    k_max = _get(kv, "gains.k_max", int, max(15, user_count or 0))
     samples = _get(kv, "gains.samples", int, 200_000)
     if k_max < 1:
         raise ConfigError("gains.k_max must be >= 1")
@@ -251,30 +312,21 @@ def _gain_settings(kv: dict[str, str], user_count: int | None) -> tuple[int, int
     return k_max, samples
 
 
+# The prefix of each framework policy's own policy.* keys.
+_KEY_PREFIX = {"l-maxweight": "", "l-exp": "exp_", "l-log": "log_"}
+
+
 def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams | None:
-    """The framework parameters of policy ``name`` with the config's
-    overrides applied; None for policies that take none."""
-    if name == "l-maxweight":
-        urgency = MaxWeightUrgency(alpha=overrides.get("alpha", 1.0))
-    elif name == "l-exp":
-        urgency = ExpUrgency(
-            beta=overrides.get("exp_beta", 0.05),
-            zeta=overrides.get("exp_zeta", 1.0),
-            eta=overrides.get("exp_eta", 0.5),
-        )
-    elif name == "l-log":
-        urgency = LogUrgency(
-            beta=overrides.get("log_beta", 10.0),
-            zeta=overrides.get("log_zeta", 10.0),
-        )
-    else:
+    """The framework parameters of policy ``name``: the published defaults
+    with the config's overrides applied; None for policies that take none."""
+    if name not in _KEY_PREFIX:
         return None
-    return FrameworkParams(
-        urgency=urgency,
-        delta=overrides.get("delta", -2.0),
-        epsilon=overrides.get("epsilon", 1e-3),
-        kappa=overrides.get("kappa", 1.0),
-    )
+    urgency, prefix = _URGENCIES[name], _KEY_PREFIX[name]
+    own = {
+        f.name: overrides[prefix + f.name] for f in fields(urgency) if prefix + f.name in overrides
+    }
+    shared = {key: overrides[key] for key in ("delta", "epsilon", "kappa") if key in overrides}
+    return FrameworkParams(urgency(**own), **shared)
 
 
 def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile:
@@ -399,15 +451,20 @@ def _run_fluid_cells(payloads) -> list[list[tuple]]:
     ]
 
 
-def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
-    gains = _resolve_gains(config, base_seed) if config.mode == "fluid" else None
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-    payloads = [
+def _payloads(config: ExperimentConfig, gains, base_seed: int, trace_dir=None) -> list[tuple]:
+    """One payload per (sweep value, replication) cell, in output order."""
+    return [
         (config, gains, base_seed, si, sweep_value, rep, trace_dir)
         for si, sweep_value in enumerate(config.sweep_values)
         for rep in range(config.replications)
     ]
+
+
+def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
+    gains = _resolve_gains(config, base_seed) if config.mode == "fluid" else None
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
+    payloads = _payloads(config, gains, base_seed, trace_dir)
     if config.mode == "fluid" and not trace_dir:
         size = min(_FLUID_BATCH, -(-len(payloads) // jobs))
         chunks = [payloads[i : i + size] for i in range(0, len(payloads), size)]
@@ -441,26 +498,25 @@ def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, 
 
 
 def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) -> None:
+    """One verdict per cell, on the instance the cell's runs simulate."""
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
     gains = _resolve_gains(config, base_seed)
     lines = [ORACLE_HEADER]
-    for si, sweep_value in enumerate(config.sweep_values):
-        for rep in range(config.replications):
-            rng = child_generator(base_seed, si, rep, 0)
-            requests = _make_requests(config, sweep_value, rng)
-            verdict = feasible(FeasibilityProblem.from_requests(requests, gains))
-            lines.append(
-                f"{sweep_value:.12g},{rep},{int(verdict.feasible)},{int(verdict.borderline)}"
-            )
+    for payload in _payloads(config, gains, base_seed):
+        requests, _ = _cell_run(payload)
+        verdict = feasible(FeasibilityProblem.from_requests(requests, gains))
+        _, _, _, _, sweep_value, rep, _ = payload
+        lines.append(f"{sweep_value:.12g},{rep},{int(verdict.feasible)},{int(verdict.borderline)}")
     with open(out_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_gains(kv: dict[str, str], out_path: str, seed: int) -> None:
+    _reject_unknown_keys(kv)
     k_max, samples = _gain_settings(kv, _get(kv, "traffic.user_count", int, 0))
-    mean_sinr = _get(kv, "channel.mean_sinr", float, 1.0)
-    profile = estimate_gains(mean_sinr, k_max, samples, seed)
+    channel = _built("channel", ChannelModel, mean_sinr=_get(kv, "channel.mean_sinr", float, 1.0))
+    profile = estimate_gains(channel.mean_sinr, k_max, samples, seed)
     profile.save(out_path)
 
 
@@ -506,22 +562,18 @@ def cmd_reproduce(
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     configs = _preset_configs(figure_id, replications)
-    # aggregate per (sweep value, policy), preserving config/policy order
+    # aggregate per (sweep value, policy), in config/policy order
     totals: dict[tuple[float, str], list[int]] = {}
-    first_seen: dict[tuple[float, str], int] = {}
     for config in configs:
         for cell in _run_cells(config, base_seed, jobs):
             for sweep_value, rep, seed, name, n, done, expired, sched in cell:
                 key = (sweep_value, name)
-                if key not in totals:
-                    totals[key] = [0, 0, 0, 0]
-                    first_seen[key] = len(first_seen)
-                agg = totals[key]
+                agg = totals.setdefault(key, [0, 0, 0, 0])
                 agg[0] += 1
                 agg[1] += int(sched)
                 agg[2] += n
                 agg[3] += expired
-    order = sorted(totals, key=lambda key: (key[0], first_seen[key]))
+    order = sorted(totals, key=lambda key: key[0])  # stable: first-seen order on ties
     if figure_id.startswith("fig2"):
         lines = ["sweep_value,policy,replications,schedulable_count"]
         for sweep_value, name in order:
@@ -586,16 +638,14 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} runs serially; --jobs must be 1")
         if args.config and args.command == "reproduce":
             raise ConfigError("reproduce runs fixed presets and takes no --config")
+        if not args.config and args.command in ("run", "oracle-check"):
+            raise ConfigError(f"{args.command} needs --config")
         kv = load_config(args.config) if args.config else {}
         if args.command == "gains":
             cmd_gains(kv, args.out, args.seed)
         elif args.command == "run":
-            if not args.config:
-                raise ConfigError("run needs --config")
             cmd_run(build_experiment_config(kv), args.out, args.seed, args.jobs, args.trace)
         elif args.command == "oracle-check":
-            if not args.config:
-                raise ConfigError("oracle-check needs --config")
             cmd_oracle_check(build_experiment_config(kv), args.out, args.seed)
         elif args.command == "reproduce":
             if args.replications < 1:

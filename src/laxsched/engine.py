@@ -236,21 +236,6 @@ class UltTracker:
             for pb in _bits(mask & ~(1 << pa)):
                 yield ids[pa], ids[pb]
 
-    def ult_matrix(self) -> tuple[list[int], np.ndarray]:
-        return self._matrix(self._direct)
-
-    def closure_matrix(self) -> tuple[list[int], np.ndarray]:
-        return self._matrix(self._down)
-
-    def _matrix(self, masks: list[int]) -> tuple[list[int], np.ndarray]:
-        ids = self.users()
-        row = {u: i for i, u in enumerate(ids)}
-        mat = np.zeros((len(ids), len(ids)), dtype=bool)
-        for pa, mask in enumerate(masks):
-            for pb in _bits(mask):
-                mat[row[self._ids[pa]], row[self._ids[pb]]] = True
-        return ids, mat
-
 
 def _bits(mask: int):
     """Positions of the set bits of mask, lowest first."""

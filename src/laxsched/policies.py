@@ -25,9 +25,6 @@ __all__ = [
     "ExpUrgency",
     "LogUrgency",
     "FrameworkParams",
-    "urgency_maxweight",
-    "urgency_exp",
-    "urgency_log",
     "FrameworkPolicy",
     "MaxCiPolicy",
     "EdfPolicy",
@@ -99,38 +96,6 @@ class FrameworkParams:
                 )
 
 
-def urgency_maxweight(laxity: float, alpha: float, epsilon: float) -> float:
-    """max(L, eps)^(-alpha); strictly decreasing on [eps, inf)."""
-    return max(laxity, epsilon) ** (-alpha)
-
-
-def urgency_exp(
-    laxity: float,
-    beta: float,
-    zeta: float,
-    eta: float,
-    group_mean_scaled_laxity: float,
-    epsilon: float,
-) -> float:
-    """exp(-beta*max(L,eps) / (zeta + Lbar^eta)) where Lbar is the mean of
-    beta*max(L,eps) over the likely-completable group. Value in (0, 1]."""
-    return math.exp(
-        -beta * max(laxity, epsilon) / (zeta + group_mean_scaled_laxity**eta)
-    )
-
-
-def urgency_log(laxity: float, beta: float, zeta: float, epsilon: float) -> float:
-    """1 / ln(zeta + beta*max(L,eps)); requires zeta + beta*eps > 1.
-
-    Natural log; the argmax is base-invariant so the base only rescales
-    weights, but positivity must hold for every clamped laxity.
-    """
-    arg = zeta + beta * max(laxity, epsilon)
-    if arg <= 1.0:
-        raise ValueError("zeta + beta*clamped laxity must exceed 1")
-    return 1.0 / math.log(arg)
-
-
 def _l2hpr_rates(
     uids: Sequence[int], laxities: Sequence[float], gains: GainProfile
 ) -> dict[int, float]:
@@ -152,24 +117,25 @@ def _too_many_active(k: int, gains: GainProfile) -> ValueError:
     return ValueError(f"{k} active users exceed gain profile k_max={gains.k_max}")
 
 
+# Each framework policy's urgency, by policy name.
+_URGENCIES = {"l-maxweight": MaxWeightUrgency, "l-exp": ExpUrgency, "l-log": LogUrgency}
+
+
 class FrameworkPolicy:
     """TDM policy: the framework rule with a fixed parameter set."""
 
     def __init__(self, params: FrameworkParams):
         self.params = params
-        self.name = {
-            MaxWeightUrgency: "l-maxweight",
-            ExpUrgency: "l-exp",
-            LogUrgency: "l-log",
-        }[type(params.urgency)]
+        self.name = next(n for n, u in _URGENCIES.items() if type(params.urgency) is u)
 
     def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
         """Among users with laxity >= delta pick the largest kappa*R*U(L); if
         none remain, fall back to the highest kappa*R.
 
-        The weights repeat the ``urgency_*`` expressions inline, operation
-        for operation, so they equal kappa * R * urgency_*(...) exactly;
-        ``eps if eps > lax else lax`` is ``max(lax, eps)``."""
+        With the clamped laxity c = max(L, eps), written ``eps if eps > lax
+        else lax``, U is c^(-alpha) for l-maxweight, exp(-beta*c / (zeta +
+        Lbar^eta)) for l-exp, where Lbar is the mean of beta*c over the users
+        at or above delta, and 1 / ln(zeta + beta*c) for l-log."""
         params = self.params
         kappa, delta, eps = params.kappa, params.delta, params.epsilon
         urg = params.urgency
@@ -246,15 +212,11 @@ def make_policy(name: str, params: FrameworkParams | None = None):
         return EdfPolicy()
     if name == "llf":
         return LlfPolicy()
-    defaults = {
-        "l-maxweight": MaxWeightUrgency(),
-        "l-exp": ExpUrgency(),
-        "l-log": LogUrgency(),
-    }
-    if name not in defaults:
+    urgency = _URGENCIES.get(name)
+    if urgency is None:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     if params is None:
-        params = FrameworkParams(urgency=defaults[name])
-    elif not isinstance(params.urgency, type(defaults[name])):
+        params = FrameworkParams(urgency=urgency())
+    elif not isinstance(params.urgency, urgency):
         raise ValueError(f"params urgency {params.urgency!r} does not match policy {name!r}")
     return FrameworkPolicy(params)

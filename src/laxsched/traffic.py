@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .core import DownloadRequest, validate_requests
+from .core import DownloadRequest
 
 __all__ = [
     "BITS_PER_MB",
@@ -24,18 +24,13 @@ __all__ = [
     "StationaryArrivalSpec",
     "sample_file_sizes_mb",
     "sample_file_sizes",
-    "sample_file_size",
     "gen_identical_deadline",
     "gen_stationary",
-    "write_requests",
-    "read_requests",
 ]
 
 BITS_PER_MB = 8e6  # decimal megabytes
 
 _DEFAULT_MEAN_RATE_BPS = ChannelModel().mean_rate_bps
-
-REQUEST_HEADER = "user_id,arrival_s,size_norm,deadline_s"
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,11 @@ class FileSizeLaw:
     log_sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mean_mb <= 0.0 or self.std_mb <= 0.0:
-            raise ValueError("mean_mb and std_mb must be > 0")
-        if self.max_mb <= self.mean_mb:
+        if not (self.mean_mb > 0.0 and 0.0 < self.std_mb < math.inf):
+            raise ValueError("mean_mb and std_mb must be finite and > 0")
+        if not self.max_mb > self.mean_mb:
             raise ValueError("max_mb must exceed mean_mb")
-        if self.mean_rate_bps <= 0.0:
+        if not self.mean_rate_bps > 0.0:
             raise ValueError("mean_rate_bps must be > 0")
         sigma2 = math.log(1.0 + (self.std_mb / self.mean_mb) ** 2)
         object.__setattr__(self, "log_sigma", math.sqrt(sigma2))
@@ -89,10 +84,6 @@ def sample_file_sizes(law: FileSizeLaw, rng: np.random.Generator, n: int) -> np.
     return sample_file_sizes_mb(law, rng, n) * law.norm_factor
 
 
-def sample_file_size(law: FileSizeLaw, rng: np.random.Generator) -> float:
-    return float(sample_file_sizes(law, rng, 1)[0])
-
-
 @dataclass(frozen=True)
 class IdenticalDeadlineSpec:
     """M users, one common deadline, arrivals uniform on [0, arrival_spread*D]."""
@@ -104,8 +95,8 @@ class IdenticalDeadlineSpec:
     def __post_init__(self) -> None:
         if self.user_count < 1:
             raise ValueError("user_count must be >= 1")
-        if not self.deadline > 0.0:
-            raise ValueError("deadline must be > 0")
+        if not 0.0 < self.deadline < math.inf:
+            raise ValueError("deadline must be finite and > 0")
         if not 0.0 <= self.arrival_spread < 1.0:
             raise ValueError("arrival_spread must lie in [0, 1)")
 
@@ -119,12 +110,12 @@ class StationaryArrivalSpec:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError("rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and > 0")
         if not self.stretch > 1.0:
             raise ValueError("stretch must be > 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
 
 
 def gen_identical_deadline(
@@ -167,26 +158,3 @@ def gen_stationary(
         for i, (a, f) in enumerate(zip(arrivals, sizes))
     ]
 
-
-def write_requests(path, requests) -> None:
-    """Trace export: one request per line, 12 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(REQUEST_HEADER + "\n")
-        for r in requests:
-            fh.write(
-                f"{r.user_id},{r.arrival_time:.12g},{r.initial_size:.12g},{r.deadline:.12g}\n"
-            )
-
-
-def read_requests(path) -> list[DownloadRequest]:
-    """Trace import; rejects a missing header and duplicate user ids."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != REQUEST_HEADER:
-        raise ValueError(f'request trace must start with header "{REQUEST_HEADER}"')
-    requests = []
-    for line in lines[1:]:
-        uid, arrival, size, deadline = line.split(",")
-        requests.append(DownloadRequest(int(uid), float(arrival), float(size), float(deadline)))
-    validate_requests(requests)
-    return requests

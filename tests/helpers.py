@@ -7,7 +7,9 @@ two bit-for-bit references kept from earlier code: ``reference_run_tdm``,
 the TDM slot loop as it was before the lone-user stretch and the rate
 buffer, for ``engine.run_tdm``; and ``reference_estimate_gains``, the
 serial sampling loop as it was before the helper-thread pipeline, for
-``capacity.estimate_gains``.
+``capacity.estimate_gains``. The ``urgency_*`` functions are the three
+framework urgencies written from their definitions, the reference that
+``policies.FrameworkPolicy``'s inline weights are tested against.
 """
 
 from __future__ import annotations
@@ -246,6 +248,38 @@ def lognormal_truncated_mean(log_mu: float, log_sigma: float, cap: float) -> flo
     num = math.exp(log_mu + s2 / 2.0) * norm.cdf((math.log(cap) - log_mu - s2) / log_sigma)
     den = norm.cdf((math.log(cap) - log_mu) / log_sigma)
     return num / den
+
+
+def urgency_maxweight(laxity: float, alpha: float, epsilon: float) -> float:
+    """max(L, eps)^(-alpha); strictly decreasing on [eps, inf)."""
+    return max(laxity, epsilon) ** (-alpha)
+
+
+def urgency_exp(
+    laxity: float,
+    beta: float,
+    zeta: float,
+    eta: float,
+    group_mean_scaled_laxity: float,
+    epsilon: float,
+) -> float:
+    """exp(-beta*max(L,eps) / (zeta + Lbar^eta)) where Lbar is the mean of
+    beta*max(L,eps) over the likely-completable group. Value in (0, 1]."""
+    return math.exp(
+        -beta * max(laxity, epsilon) / (zeta + group_mean_scaled_laxity**eta)
+    )
+
+
+def urgency_log(laxity: float, beta: float, zeta: float, epsilon: float) -> float:
+    """1 / ln(zeta + beta*max(L,eps)); requires zeta + beta*eps > 1.
+
+    Natural log; the argmax is base-invariant so the base only rescales
+    weights, but positivity must hold for every clamped laxity.
+    """
+    arg = zeta + beta * max(laxity, epsilon)
+    if arg <= 1.0:
+        raise ValueError("zeta + beta*clamped laxity must exceed 1")
+    return 1.0 / math.log(arg)
 
 
 def framework_choice(uids, laxities, rates, urgency, delta=-2.0, epsilon=1e-3):

@@ -6,7 +6,6 @@ import pytest
 from laxsched.channel import (
     ChannelModel,
     mean_spectral_efficiency,
-    sample_normalized_rate,
     sample_normalized_rates,
 )
 from laxsched.seeding import generator_from
@@ -75,16 +74,21 @@ class TestChannelModel:
             ChannelModel(bandwidth_hz=0.0)
         with pytest.raises(ValueError):
             ChannelModel(mean_sinr=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ChannelModel(mean_sinr=bad)
+            with pytest.raises(ValueError):
+                ChannelModel(bandwidth_hz=bad)
 
 
 class TestSampling:
     def test_zero_sinr_gives_zero_rate(self):
         m = ChannelModel()
-        assert sample_normalized_rate(m, _FixedDraws([0.0])) == 0.0
+        assert sample_normalized_rates(m, _FixedDraws([0.0]), 1)[0] == 0.0
 
     def test_rate_at_mean_sinr(self):
         m = ChannelModel()
-        assert sample_normalized_rate(m, _FixedDraws([1.0])) == pytest.approx(
+        assert sample_normalized_rates(m, _FixedDraws([1.0]), 1)[0] == pytest.approx(
             RATE_AT_MEAN_SINR, abs=1e-12
         )
 
@@ -109,5 +113,5 @@ class TestSampling:
         m = ChannelModel(mean_sinr=2.0)
         draws = [0.3, 1.7, 4.2]
         vec = sample_normalized_rates(m, _FixedDraws(list(draws)), 3)
-        scalars = [sample_normalized_rate(m, _FixedDraws([d])) for d in draws]
+        scalars = [sample_normalized_rates(m, _FixedDraws([d]), 1)[0] for d in draws]
         assert np.allclose(vec, scalars, rtol=1e-15)

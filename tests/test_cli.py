@@ -68,8 +68,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
 
-    def test_later_key_overrides(self):
-        assert parse_config_text("a=1\na=2\n")["a"] == "2"
+    def test_repeated_key_rejected(self):
+        # a repeated key is an error, naming both lines, as a repeated policy
+        # name is; it once silently overrode the earlier line
+        with pytest.raises(ConfigError, match=r"line 3: 'a' repeats line 1"):
+            parse_config_text("a=1\nb=2\na = 3\n")
 
 
 class TestConfigValidation:
@@ -128,6 +131,127 @@ class TestConfigValidation:
     def test_negative_slot_length_rejected(self):
         with pytest.raises(ConfigError):
             build_experiment_config(parse_config_text(tdm_config_text(slot_length="-1")))
+
+
+def run_main(tmp_path, text, command="run"):
+    """The exit code of one command on a config text; asserts that a
+    failing command wrote no output."""
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 0 or not out.exists()
+    return code
+
+
+class TestStrictKeys:
+    """Every key is known and read by the config's run, and none repeats;
+    each of these once ran the defaults and exited 0."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("policy.alpah = 7", "unknown config key 'policy.alpah'; did you mean 'policy.alpha'?"),
+            ("slot_lenght = 0.5", "unknown config key 'slot_lenght'; did you mean 'slot_length'?"),
+            (
+                "traffic.user_count = 99",
+                "traffic.user_count is read only when traffic.kind = identical, not stationary",
+            ),
+            (
+                "traffic.arrival_spread = 0.5",
+                "traffic.arrival_spread is read only when traffic.kind = identical, not stationary",
+            ),
+            ("gains.k_max = 3", "gains.k_max is read only when mode = fluid, not tdm"),
+            (
+                "policy.alpha = 3",
+                "policy.alpha is read only by l-maxweight, not by any policy in policy.names",
+            ),
+            ("replications = 5", "line 10: 'replications' repeats line 8"),
+        ],
+        ids=[
+            "misspelt-override", "misspelt-key", "user-count", "spread", "gains", "alpha", "repeated"
+        ],
+    )
+    def test_tdm_run_rejects(self, tmp_path, capsys, extra, message):
+        assert run_main(tmp_path, tdm_config_text() + f"\n{extra}\n") == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_fluid_rejects_stationary_key(self, tmp_path, gains_file, capsys, command):
+        text = fluid_config_text(gains_file, **{"traffic.rate": "0.05"})
+        assert run_main(tmp_path, text, command) == 2
+        err = capsys.readouterr().err
+        assert "traffic.rate is read only when traffic.kind = stationary, not identical" in err
+
+    def test_override_read_by_a_listed_policy_accepted(self):
+        text = tdm_config_text(**{"policy.alpha": "2", "policy.names": "l-maxweight,edf"})
+        assert build_experiment_config(parse_config_text(text)).framework_overrides == {
+            "alpha": 2.0
+        }
+
+    def test_gains_rejects_only_unknown_keys(self, tmp_path, capsys):
+        assert run_main(tmp_path, "gains.kmax = 4\n", "gains") == 2
+        assert "did you mean 'gains.k_max'?" in capsys.readouterr().err
+        # a tdm run config's keys are known, so gains takes it
+        text = tdm_config_text() + "\ngains.samples = 20000\n"
+        assert run_main(tmp_path, text, "gains") == 0
+
+
+class TestBadValues:
+    """A value that a traffic, size or channel model rejects is a config
+    error (exit 2) for every sweep value, not a runtime error (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "kind, override, message",
+        [
+            ("fluid", {"traffic.user_count": "0"}, "user_count must be >= 1"),
+            ("fluid", {"traffic.arrival_spread": "1.5"}, "arrival_spread must lie in [0, 1)"),
+            ("fluid", {"size.mean_mb": "-1"}, "bad size law: mean_mb and std_mb must be finite"),
+            ("tdm", {"size.std_mb": "inf"}, "bad size law: mean_mb and std_mb must be finite"),
+            ("fluid", {"channel.mean_sinr": "0"}, "bad channel: mean_sinr must be finite and > 0"),
+            ("tdm", {"traffic.rate": "-1"}, "rate must be finite and > 0"),
+            ("fluid", {"sweep.values": "-5,60"}, "bad traffic at -5: deadline must be finite"),
+            ("fluid", {"sweep.values": "60,nan"}, "bad traffic at nan: deadline must be finite"),
+            ("fluid", {"sweep.values": "60,inf"}, "bad traffic at inf: deadline must be finite"),
+            ("gains", {"channel.mean_sinr": "0"}, "bad channel: mean_sinr must be finite and > 0"),
+            # a NaN urgency exponent made l-exp serve nobody once two users were active
+            (
+                "tdm",
+                {"policy.names": "l-exp", "policy.exp_eta": "nan"},
+                "bad value for 'policy.exp_eta': 'nan'",
+            ),
+        ],
+        ids=[
+            "user-count", "spread", "size", "size-std", "sinr", "rate", "negative", "nan", "inf",
+            "gains-sinr", "exp-eta-nan",
+        ],
+    )
+    def test_exit_two(self, tmp_path, gains_file, capsys, kind, override, message):
+        if kind == "fluid":
+            text = fluid_config_text(gains_file, **override)
+        elif kind == "tdm":
+            text = tdm_config_text(**override)
+        else:
+            text = "".join(f"{k} = {v}\n" for k, v in override.items())
+        assert run_main(tmp_path, text, "gains" if kind == "gains" else "run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"traffic.horizon": "inf"},  # the stream generator would never end
+            {"traffic.rate": "inf"},
+            {"channel.mean_sinr": "nan"},
+            {"channel.bandwidth_hz": "inf"},
+            {"size.mean_mb": "nan"},
+            {"slot_length": "nan"},
+            {"slot_length": "inf"},
+        ],
+        ids=lambda o: "-".join(*o.items()),
+    )
+    def test_non_finite_rejected_at_config_time(self, override):
+        with pytest.raises(ConfigError):
+            build_experiment_config(parse_config_text(tdm_config_text(**override)))
 
 
 class TestCmdGains:

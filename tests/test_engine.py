@@ -68,17 +68,15 @@ class TestUltTracker:
         assert t.ult(3, 1) and t.ult(3, 2)
         assert not t.ult(1, 3) and not t.ult(2, 3)
 
-    def test_matrices(self):
+    def test_relation_and_closure(self):
         t = UltTracker()
         t.update({1: 1.0, 2: 2.0})
         t.update({2: 1.0, 3: 2.0, 1: 5.0})
-        ids, ult = t.ult_matrix()
-        _, clo = t.closure_matrix()
-        i = {u: k for k, u in enumerate(ids)}
-        assert ult[i[1], i[2]] and not ult[i[1], i[3]]
-        assert clo[i[1], i[3]]
-        assert (clo >= ult).all()
-        assert clo.diagonal().all()
+        ids = t.users()
+        assert t.ult(1, 2) and not t.ult(1, 3)
+        assert t.iult(1, 3)
+        assert all(t.iult(a, b) for a in ids for b in ids if t.ult(a, b))
+        assert all(t.iult(a, a) for a in ids)
 
 
 LIMIT = 0.1  # the order check's slot length in the differential tests

@@ -19,12 +19,9 @@ from laxsched.policies import (
     MaxWeightUrgency,
     _l2hpr_rates,
     make_policy,
-    urgency_exp,
-    urgency_log,
-    urgency_maxweight,
 )
 
-from helpers import framework_choice
+from helpers import framework_choice, urgency_exp, urgency_log, urgency_maxweight
 
 # frozen from independent high-precision evaluation (mpmath, 40 digits)
 EXP_URGENCY_EXAMPLE = 0.7461018060799022  # exp(-0.5 / (1 + sqrt(0.5)))
@@ -332,16 +329,17 @@ class TestPolicyObjects:
             make_policy("l-log", FrameworkParams(urgency=ExpUrgency()))
 
     def test_array_path_matches_flow_path(self):
-        # every framework policy against the rule written from its definition
-        # (tests/helpers.py), with the published parameters
+        # every framework policy against the rule and the urgency functions
+        # written from their definitions (tests/helpers.py), with the
+        # published parameters
         def exp_urgency(clamped):
             lbar = sum(0.05 * c for c in clamped) / len(clamped)
-            return [math.exp(-0.05 * c / (1.0 + lbar**0.5)) for c in clamped]
+            return [urgency_exp(c, 0.05, 1.0, 0.5, lbar, 1e-3) for c in clamped]
 
         urgencies = {
-            "l-maxweight": lambda clamped: [c**-1.0 for c in clamped],
+            "l-maxweight": lambda clamped: [urgency_maxweight(c, 1.0, 1e-3) for c in clamped],
             "l-exp": exp_urgency,
-            "l-log": lambda clamped: [1.0 / math.log(10.0 + 10.0 * c) for c in clamped],
+            "l-log": lambda clamped: [urgency_log(c, 10.0, 10.0, 1e-3) for c in clamped],
         }
         rng = np.random.default_rng(31)
         for name, urgency in urgencies.items():

@@ -1,20 +1,24 @@
-"""Tooling checks against stale names: every exported name resolves, and
-every name the demos import from laxsched exists. The demos are parsed, not
-run, because some of them take many seconds."""
+"""Tooling checks against stale names: every exported name resolves, every
+name the demos import from laxsched exists, and the README's config keys are
+the CLI's. The demos are parsed, not run, because some of them take many
+seconds."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import laxsched
+from laxsched import cli
 
 from helpers import modules_after, scipy_modules_after
 
+ROOT = pathlib.Path(__file__).parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(laxsched.__path__) if m.name != "__main__")
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -96,3 +100,43 @@ for sizes, is_feasible in (((6.0, 4.0), True), ((9.0, 8.0), False)):
     assert scipy_modules_after(code) == []
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[2] for r in rows] == ["0", "0", "1", "1"]  # feasible rows at D = 200
+
+
+def _readme_config() -> str:
+    (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return block
+
+
+def test_readme_names_every_config_key():
+    # the example's keys plus those its comment lines name are the CLI's keys
+    block = _readme_config()
+    named = {
+        key
+        for line in block.splitlines()
+        if line.startswith("#")
+        for key in re.findall(r"[a-z]+(?:[._][a-z]+)+", line)
+    }
+    assert set(cli.parse_config_text(block)) | named == set(cli._CONFIG_KEYS)
+
+
+def test_example_configs_load(tmp_path, monkeypatch):
+    # the README example, the four presets, the benchmark's batch config and
+    # the tests' config builders; the tests' inline configs load in the
+    # tests that run them
+    import test_acceptance
+    import test_cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    texts = [
+        _readme_config(),
+        workloads.batch_config(15, 3),
+        test_acceptance.TestCriterion10.CONFIG,
+        test_cli.tdm_config_text(),
+        test_cli.fluid_config_text(tmp_path / "gains.csv"),
+    ]
+    for text in texts:
+        cli.build_experiment_config(cli.parse_config_text(text))
+    for figure_id in cli.FIGURE_IDS:
+        assert cli._preset_configs(figure_id, 1)

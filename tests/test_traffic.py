@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from laxsched.core import DownloadRequest
 from laxsched.seeding import generator_from
 from laxsched.traffic import (
     BITS_PER_MB,
@@ -13,11 +12,8 @@ from laxsched.traffic import (
     StationaryArrivalSpec,
     gen_identical_deadline,
     gen_stationary,
-    read_requests,
-    sample_file_size,
     sample_file_sizes,
     sample_file_sizes_mb,
-    write_requests,
 )
 
 from helpers import lognormal_truncated_mean, lognormal_untruncated_moments
@@ -48,6 +44,8 @@ class TestFileSizeLaw:
             FileSizeLaw(max_mb=1.5)  # below the mean
         with pytest.raises(ValueError):
             FileSizeLaw(mean_rate_bps=0.0)
+        with pytest.raises(ValueError):
+            FileSizeLaw(mean_mb=math.nan)
 
     def test_norm_factor(self):
         assert LAW.norm_factor == pytest.approx(BITS_PER_MB / LAW.mean_rate_bps)
@@ -74,7 +72,7 @@ class TestSampling:
         assert 10.0 < norm.mean() < 60.0
 
     def test_scalar_draw(self):
-        x = sample_file_size(LAW, generator_from(4))
+        (x,) = sample_file_sizes(LAW, generator_from(4), 1)
         assert x > 0.0
 
     def test_deterministic(self):
@@ -91,6 +89,9 @@ class TestIdenticalDeadline:
             IdenticalDeadlineSpec(3, 0.0)
         with pytest.raises(ValueError):
             IdenticalDeadlineSpec(3, 10.0, 1.0)
+        for deadline in (math.inf, math.nan):  # no arrival window to draw from
+            with pytest.raises(ValueError):
+                IdenticalDeadlineSpec(3, deadline)
 
     def test_zero_spread_collapses_arrivals(self):
         spec = IdenticalDeadlineSpec(5, 10.0, 0.0)
@@ -136,6 +137,9 @@ class TestStationary:
             StationaryArrivalSpec(0.1, 1.0, 100.0)
         with pytest.raises(ValueError):
             StationaryArrivalSpec(0.1, 2.0, 0.0)
+        for rate, horizon in ((math.inf, 100.0), (0.1, math.inf)):  # streams without end
+            with pytest.raises(ValueError):
+                StationaryArrivalSpec(rate, 2.0, horizon)
 
     def test_poisson_count(self):
         spec = StationaryArrivalSpec(0.05, 3.0, 40_000.0)
@@ -172,35 +176,3 @@ class TestStationary:
         a = gen_stationary(spec, LAW, generator_from(17))
         b = gen_stationary(spec, LAW, generator_from(17))
         assert a == b
-
-
-class TestRequestIO:
-    def test_round_trip(self, tmp_path):
-        spec = IdenticalDeadlineSpec(7, 25.0, 0.4)
-        reqs = gen_identical_deadline(spec, LAW, generator_from(20))
-        path = tmp_path / "trace.csv"
-        write_requests(path, reqs)
-        back = read_requests(path)
-        assert len(back) == len(reqs)
-        for orig, rt in zip(reqs, back):
-            assert rt.user_id == orig.user_id
-            assert rt.arrival_time == pytest.approx(orig.arrival_time, rel=1e-11)
-            assert rt.initial_size == pytest.approx(orig.initial_size, rel=1e-11)
-            assert rt.deadline == pytest.approx(orig.deadline, rel=1e-11)
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,0.0,2.0,10.0\n")
-        with pytest.raises(ValueError):
-            read_requests(path)
-
-    def test_duplicate_user_ids_rejected(self, tmp_path):
-        path = tmp_path / "dupes.csv"
-        write_requests(path, [DownloadRequest(1, 0.0, 2.0, 10.0), DownloadRequest(1, 1.0, 2.0, 12.0)])
-        with pytest.raises(ValueError, match=r"duplicate user_id\(s\) \[1\]"):
-            read_requests(path)
-
-    def test_header_written(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_requests(path, [DownloadRequest(1, 0.0, 2.0, 10.0)])
-        assert path.read_text().splitlines()[0] == "user_id,arrival_s,size_norm,deadline_s"
