@@ -12,14 +12,14 @@ optimal.
 from laxsched import (
     DownloadRequest,
     FeasibilityProblem,
-    estimate_gains,
+    diversity_gains,
     feasible,
     replay_witness,
     run_fluid,
     witness_text,
 )
 
-gains = estimate_gains(mean_sinr=1.0, k_max=6, sample_count=100_000, seed=3)
+gains = diversity_gains(mean_sinr=1.0, k_max=6)
 
 instances = {
     "comfortable": [

@@ -13,7 +13,7 @@ oracle    -- exact schedulability margin and certificate; L2HPR witness built on
 cli       -- config-driven experiment runner (``laxsched`` entry point)
 """
 
-from .capacity import GainProfile, estimate_gains
+from .capacity import GainProfile, diversity_gains
 from .channel import ChannelModel, mean_spectral_efficiency, sample_normalized_rates
 from .core import (
     DownloadRequest,

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .capacity import MIN_SAMPLE_COUNT, GainProfile, estimate_gains
+from .capacity import GainProfile, diversity_gains
 from .channel import ChannelModel
 from .engine import SimReport, run_fluid, run_fluid_batch, run_tdm
 from .oracle import FeasibilityProblem, feasible
@@ -111,8 +111,8 @@ _FRAMEWORK = tuple(_URGENCIES)
 # traffic kind, the runs of that mode or traffic.kind; a tuple of policies,
 # the runs listing one of them (the policy.* overrides). run and oracle-check
 # reject a key that their config's run does not read. gains reads
-# traffic.user_count, channel.mean_sinr and gains.k_max/samples, and rejects
-# only keys missing here, so a run config feeds it too.
+# traffic.user_count, channel.mean_sinr and gains.k_max, and rejects only
+# keys missing here, so a run config feeds it too.
 _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "mode": "",
     "traffic.kind": "",
@@ -132,7 +132,6 @@ _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "size.max_mb": "",
     "gains.path": "fluid",
     "gains.k_max": "fluid",
-    "gains.samples": "fluid",
     "policy.delta": _FRAMEWORK,
     "policy.epsilon": _FRAMEWORK,
     "policy.kappa": _FRAMEWORK,
@@ -187,7 +186,6 @@ class ExperimentConfig:
     channel: ChannelModel
     gains_path: str | None
     gains_k_max: int
-    gains_samples: int
 
 
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
@@ -277,7 +275,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
 
     for name in policies:
         _built(f"parameters for {name}", _framework_params, name, overrides)
-    gains_k_max, gains_samples = _gain_settings(kv, user_count)
+    gains_k_max = _gain_k_max(kv, user_count)
 
     return ExperimentConfig(
         mode=mode,
@@ -296,20 +294,15 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         channel=channel,
         gains_path=kv.get("gains.path"),
         gains_k_max=gains_k_max,
-        gains_samples=gains_samples,
     )
 
 
-def _gain_settings(kv: dict[str, str], user_count: int | None) -> tuple[int, int]:
-    """gains.k_max and gains.samples, rejected here if estimate_gains would
-    reject them. k_max defaults to enough for the batch, and at least 15."""
+def _gain_k_max(kv: dict[str, str], user_count: int | None) -> int:
+    """gains.k_max, by default enough for the batch and at least 15."""
     k_max = _get(kv, "gains.k_max", int, max(15, user_count or 0))
-    samples = _get(kv, "gains.samples", int, 200_000)
     if k_max < 1:
         raise ConfigError("gains.k_max must be >= 1")
-    if samples < MIN_SAMPLE_COUNT:
-        raise ConfigError(f"gains.samples must be >= {MIN_SAMPLE_COUNT}")
-    return k_max, samples
+    return k_max
 
 
 # The prefix of each framework policy's own policy.* keys.
@@ -329,19 +322,14 @@ def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams
     return FrameworkParams(urgency(**own), **shared)
 
 
-def _resolve_gains(config: ExperimentConfig, base_seed: int) -> GainProfile:
-    """The configured gain table, or one estimated from the config's channel
-    under the base seed; it must cover the configured user count."""
+def _resolve_gains(config: ExperimentConfig) -> GainProfile:
+    """The configured gain table, or the exact one for the config's channel;
+    it must cover the configured user count."""
     profile = GainProfile.load(config.gains_path) if config.gains_path else None
     k_max = profile.k_max if profile else config.gains_k_max
-    if k_max < config.user_count:  # checked before an estimate is paid for
+    if k_max < config.user_count:
         raise ConfigError(f"gain profile k_max={k_max} below user_count={config.user_count}")
-    return profile or estimate_gains(
-        config.channel.mean_sinr,
-        config.gains_k_max,
-        config.gains_samples,
-        child_seed(base_seed, 0xFADE),
-    )
+    return profile or diversity_gains(config.channel.mean_sinr, k_max)
 
 
 def _make_requests(config: ExperimentConfig, sweep_value: float, rng):
@@ -461,7 +449,7 @@ def _payloads(config: ExperimentConfig, gains, base_seed: int, trace_dir=None) -
 
 
 def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
-    gains = _resolve_gains(config, base_seed) if config.mode == "fluid" else None
+    gains = _resolve_gains(config) if config.mode == "fluid" else None
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     payloads = _payloads(config, gains, base_seed, trace_dir)
@@ -501,7 +489,7 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
     """One verdict per cell, on the instance the cell's runs simulate."""
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
-    gains = _resolve_gains(config, base_seed)
+    gains = _resolve_gains(config)
     lines = [ORACLE_HEADER]
     for payload in _payloads(config, gains, base_seed):
         requests, _ = _cell_run(payload)
@@ -512,12 +500,11 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_gains(kv: dict[str, str], out_path: str, seed: int) -> None:
+def cmd_gains(kv: dict[str, str], out_path: str) -> None:
     _reject_unknown_keys(kv)
-    k_max, samples = _gain_settings(kv, _get(kv, "traffic.user_count", int, 0))
+    k_max = _gain_k_max(kv, _get(kv, "traffic.user_count", int, 0))
     channel = _built("channel", ChannelModel, mean_sinr=_get(kv, "channel.mean_sinr", float, 1.0))
-    profile = estimate_gains(channel.mean_sinr, k_max, samples, seed)
-    profile.save(out_path)
+    diversity_gains(channel.mean_sinr, k_max).save(out_path)
 
 
 _FIG_SWEEP_D = (60.0, 100.0, 140.0, 180.0, 220.0, 260.0, 300.0)
@@ -599,11 +586,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=0, help="base seed (u64)")
+        p.add_argument("--seed", type=int, help="base seed (u64, default 0)")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--trace", action="store_true", help="write per-slot traces")
 
-    p_gains = sub.add_parser("gains", help="estimate and save a gain table")
+    p_gains = sub.add_parser("gains", help="compute and save the exact gain table")
     common(p_gains)
 
     p_run = sub.add_parser("run", help="run a sweep experiment to CSV")
@@ -626,14 +613,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    seed = 0 if args.seed is None else args.seed
     try:
-        if args.seed < 0 or args.seed >= 2**64:
+        if not 0 <= seed < 2**64:
             raise ConfigError("--seed must fit in 64 unsigned bits")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         # reject the flags a command would otherwise ignore
         if args.trace and args.command != "run":
             raise ConfigError(f"--trace applies only to run, not {args.command}")
+        if args.seed is not None and args.command == "gains":
+            raise ConfigError("gains computes its table exactly and takes no --seed")
         if args.jobs > 1 and args.command in ("gains", "oracle-check"):
             raise ConfigError(f"{args.command} runs serially; --jobs must be 1")
         if args.config and args.command == "reproduce":
@@ -642,15 +632,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} needs --config")
         kv = load_config(args.config) if args.config else {}
         if args.command == "gains":
-            cmd_gains(kv, args.out, args.seed)
+            cmd_gains(kv, args.out)
         elif args.command == "run":
-            cmd_run(build_experiment_config(kv), args.out, args.seed, args.jobs, args.trace)
+            cmd_run(build_experiment_config(kv), args.out, seed, args.jobs, args.trace)
         elif args.command == "oracle-check":
-            cmd_oracle_check(build_experiment_config(kv), args.out, args.seed)
+            cmd_oracle_check(build_experiment_config(kv), args.out, seed)
         elif args.command == "reproduce":
             if args.replications < 1:
                 raise ConfigError("--replications must be >= 1")
-            cmd_reproduce(args.figure_id, args.out, args.seed, args.jobs, args.replications)
+            cmd_reproduce(args.figure_id, args.out, seed, args.jobs, args.replications)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

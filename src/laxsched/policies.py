@@ -56,6 +56,8 @@ class ExpUrgency:
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 and self.zeta > 0.0):
             raise ValueError("beta and zeta must be > 0")
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ class FrameworkParams:
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
+        if math.isnan(self.delta):
+            raise ValueError("delta must not be NaN")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
         if not self.kappa > 0.0:

@@ -3,11 +3,9 @@ brute-force region/subset checks, and an exhaustive grid allocation search.
 
 Everything here is computed by a different route than the implementation
 under test (closed forms, quadrature, or exhaustive enumeration), except
-two bit-for-bit references kept from earlier code: ``reference_run_tdm``,
+one bit-for-bit reference kept from earlier code: ``reference_run_tdm``,
 the TDM slot loop as it was before the lone-user stretch and the rate
-buffer, for ``engine.run_tdm``; and ``reference_estimate_gains``, the
-serial sampling loop as it was before the helper-thread pipeline, for
-``capacity.estimate_gains``. The ``urgency_*`` functions are the three
+buffer, for ``engine.run_tdm``. The ``urgency_*`` functions are the three
 framework urgencies written from their definitions, the reference that
 ``policies.FrameworkPolicy``'s inline weights are tested against.
 """
@@ -28,7 +26,6 @@ import numpy as np
 from scipy import integrate, special
 
 import laxsched
-from laxsched.capacity import _STRICT_TILT, MIN_SAMPLE_COUNT, GainProfile, _pav_decreasing
 from laxsched.channel import ChannelModel
 from laxsched.core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
 from laxsched.engine import SimReport, TraceRecord, UserOutcome
@@ -361,45 +358,6 @@ def reference_write_trace(path, report) -> None:
                 )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-
-def reference_estimate_gains(
-    mean_sinr: float, k_max: int, sample_count: int, seed: int
-) -> GainProfile:
-    """``capacity.estimate_gains`` as a serial loop over the sample blocks."""
-    if mean_sinr <= 0.0:
-        raise ValueError("mean_sinr must be > 0")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if sample_count < MIN_SAMPLE_COUNT:
-        raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT} for a usable estimate")
-
-    rng = generator_from(seed)
-    sums = np.zeros(k_max)
-    remaining = sample_count
-    chunk = 1 << 15
-    while remaining > 0:
-        m = min(chunk, remaining)
-        draws = rng.exponential(mean_sinr, size=(m, k_max))
-        np.maximum.accumulate(draws, axis=1, out=draws)
-        sums += np.log1p(draws).sum(axis=0)
-        remaining -= m
-    # log base cancels in the ratio to the single-user mean
-    ratios = sums / sums[0]
-
-    increments = np.diff(ratios, prepend=0.0)
-    increments = _pav_decreasing(increments)
-    if increments[-1] <= 0.0:
-        raise ValueError(
-            f"sample_count={sample_count} too small: repaired increments not positive"
-        )
-    increments *= 1.0 - _STRICT_TILT * np.arange(1, k_max + 1)
-    increments /= increments[0]
-
-    gains = np.concatenate(([0.0], np.cumsum(increments)))
-    gains[1] = 1.0
-    return GainProfile(tuple(float(g) for g in gains))
 
 
 def modules_after(code: str, *names: str) -> list[str]:

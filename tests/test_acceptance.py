@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from laxsched.capacity import GainProfile, estimate_gains
+from laxsched.capacity import GainProfile, diversity_gains
 from laxsched.channel import ChannelModel, sample_normalized_rates
 from laxsched.cli import build_experiment_config, cmd_run, parse_config_text
 from laxsched.core import DownloadRequest
@@ -41,7 +41,7 @@ def _ok(num, text):
 
 @pytest.fixture(scope="module")
 def gains15():
-    return estimate_gains(1.0, 15, 200_000, seed=100)
+    return diversity_gains(1.0, 15)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import pytest
 
 from laxsched import cli
-from laxsched.capacity import GainProfile, estimate_gains
+from laxsched.capacity import GainProfile, diversity_gains
 from laxsched.channel import ChannelModel
 from laxsched.cli import (
     ConfigError,
@@ -89,7 +89,7 @@ class TestConfigValidation:
             {"sweep.values": ""},
             {"policy.names": "best-rate"},
             {"mode": "warp"},
-            {"gains.samples": "5000"},
+            {"gains.samples": "20000"},  # unknown: the gain table is exact
             {"gains.k_max": "0"},
         ],
     )
@@ -192,7 +192,7 @@ class TestStrictKeys:
         assert run_main(tmp_path, "gains.kmax = 4\n", "gains") == 2
         assert "did you mean 'gains.k_max'?" in capsys.readouterr().err
         # a tdm run config's keys are known, so gains takes it
-        text = tdm_config_text() + "\ngains.samples = 20000\n"
+        text = tdm_config_text() + "\ngains.k_max = 20\n"
         assert run_main(tmp_path, text, "gains") == 0
 
 
@@ -257,38 +257,39 @@ class TestBadValues:
 class TestCmdGains:
     def test_writes_valid_table(self, tmp_path):
         out = tmp_path / "g.csv"
-        cmd_gains({"gains.k_max": "6", "gains.samples": "20000"}, out, seed=3)
+        cmd_gains({"gains.k_max": "6"}, out)
         profile = GainProfile.load(out)  # validates monotone/concave
         assert profile.gains[1] == 1.0
         assert profile.k_max == 6
 
     def test_same_seed_byte_identical(self, tmp_path):
+        # the table takes no seed: two writes of one config are the same bytes
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        kv = {"gains.k_max": "5", "gains.samples": "20000"}
-        cmd_gains(kv, a, seed=9)
-        cmd_gains(kv, b, seed=9)
+        kv = {"gains.k_max": "5"}
+        cmd_gains(kv, a)
+        cmd_gains(kv, b)
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_text() == diversity_gains(1.0, 5).to_table()
 
     def test_k_max_defaults_to_user_count(self, tmp_path):
         out = tmp_path / "g.csv"
-        cmd_gains({"traffic.user_count": "20", "gains.samples": "20000"}, out, seed=3)
+        cmd_gains({"traffic.user_count": "20"}, out)
         assert GainProfile.load(out).k_max == 20
-        cmd_gains({"traffic.user_count": "4", "gains.samples": "20000"}, out, seed=3)
+        cmd_gains({"traffic.user_count": "4"}, out)
         assert GainProfile.load(out).k_max == 15
 
     def test_written_table_feeds_run(self, tmp_path):
-        # seed 1, 20 users, 20 000 samples: a table the loader once rejected
+        # a 20-user table that gains writes loads and feeds a run
         cfg = tmp_path / "cfg.txt"
         overrides = {
             "gains.path": None,
-            "gains.samples": "20000",
             "traffic.user_count": "20",
             "sweep.values": "100",
             "replications": "1",
         }
         cfg.write_text(fluid_config_text(None, **overrides))
         table = tmp_path / "g.csv"
-        assert main(["gains", "--config", str(cfg), "--out", str(table), "--seed", "1"]) == 0
+        assert main(["gains", "--config", str(cfg), "--out", str(table)]) == 0
         assert GainProfile.load(table).k_max == 20
         cfg.write_text(fluid_config_text(table, **dict(overrides, **{"gains.path": table})))
         out = tmp_path / "run.csv"
@@ -315,7 +316,7 @@ class TestTraceWriter:
             DownloadRequest(4, 0.3, 0.4, 10.0),
             DownloadRequest(2, 1.7, 2.5, 10.0),
         ]
-        gains = estimate_gains(1.0, 4, 20_000, seed=5)  # full-precision rates
+        gains = diversity_gains(1.0, 4)  # full-precision rates
         report = run_fluid(reqs, gains, 0.1, record_trace=True)
         done = report.outcomes[4].completion_time
         assert done < max(o.completion_time for o in report.outcomes.values())
@@ -509,6 +510,9 @@ class TestMainEntry:
             ["gains", "--config", "CFG", "--jobs", "2"],
             ["oracle-check", "--config", "CFG", "--jobs", "2"],
             ["reproduce", "fig3b", "--replications", "1", "--config", "CFG"],
+            # the gain table is exact and reads no seed
+            ["gains", "--config", "CFG", "--seed", "1"],
+            ["gains", "--config", "CFG", "--seed", "0"],
         ],
         ids=[
             "gains-trace",
@@ -517,11 +521,13 @@ class TestMainEntry:
             "gains-jobs",
             "oracle-check-jobs",
             "reproduce-config",
+            "gains-seed",
+            "gains-seed-zero",
         ],
     )
     def test_ignored_flags_rejected(self, tmp_path, gains_file, capsys, argv):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(fluid_config_text(gains_file, **{"gains.samples": "20000"}))
+        cfg.write_text(fluid_config_text(gains_file))
         out = tmp_path / "x.csv"
         argv = [str(cfg) if a == "CFG" else a for a in argv]
         assert main([*argv, "--out", str(out)]) == 2
@@ -535,7 +541,7 @@ class TestMainEntry:
             cfg.write_text(tdm_config_text())
         else:
             text = fluid_config_text(gains_file, **{"sweep.values": "50", "replications": "1"})
-            cfg.write_text(text + "\ngains.k_max = 4\ngains.samples = 20000\n")
+            cfg.write_text(text + "\ngains.k_max = 4\n")
         if command == "reproduce":
             head = ["reproduce", "fig3b", "--replications", "1"]
         else:
@@ -546,34 +552,43 @@ class TestMainEntry:
 
     def test_oracle_check_k_max_below_user_count_is_config_error(self, tmp_path, gains_file):
         cfg = tmp_path / "cfg.txt"
-        # an estimated profile (no gains.path) of k_max 3 for 4 users
-        overrides = {"gains.path": None, "gains.k_max": "3", "gains.samples": "20000"}
+        # a built profile (no gains.path) of k_max 3 for 4 users
+        overrides = {"gains.path": None, "gains.k_max": "3"}
         cfg.write_text(fluid_config_text(gains_file, **overrides))
         code = main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
     @pytest.mark.parametrize("command", ["gains", "run", "oracle-check"])
     @pytest.mark.parametrize(
-        "setting", ["gains.samples = 5000", "gains.k_max = 0"], ids=["samples", "k_max"]
+        "setting, message",
+        [
+            # the table is exact, so there is no sample count to set
+            (
+                "gains.samples = 20000",
+                "config error: unknown config key 'gains.samples'; did you mean 'gains.path'?",
+            ),
+            ("gains.k_max = 0", "config error: gains.k_max must be >= 1"),
+        ],
+        ids=["samples", "k_max"],
     )
     def test_bad_gain_settings_are_config_errors(
-        self, tmp_path, gains_file, capsys, command, setting
+        self, tmp_path, gains_file, capsys, command, setting, message
     ):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(fluid_config_text(None, **{"gains.path": None}) + f"\n{setting}\n")
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "config error: gains." in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "oracle-check"])
     def test_k_max_below_user_count_rejected_before_estimating(
         self, tmp_path, monkeypatch, command
     ):
-        def estimate(*args):
-            raise AssertionError("gains estimated for a config that is rejected")
+        def build(*args):
+            raise AssertionError("gains built for a config that is rejected")
 
-        monkeypatch.setattr(cli, "estimate_gains", estimate)
+        monkeypatch.setattr(cli, "diversity_gains", build)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(fluid_config_text(None, **{"gains.path": None, "gains.k_max": "3"}))
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
@@ -582,8 +597,8 @@ class TestMainEntry:
     def test_gains_via_main(self, tmp_path):
         out = tmp_path / "g.csv"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("gains.k_max = 4\ngains.samples = 20000\n")
-        code = main(["gains", "--config", str(cfg), "--out", str(out), "--seed", "1"])
+        cfg.write_text("gains.k_max = 4\n")
+        code = main(["gains", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert GainProfile.load(out).k_max == 4
 

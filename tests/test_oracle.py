@@ -422,7 +422,7 @@ class TestStaggeredM12:
             "replications = 3",
         ])
         config = build_experiment_config(parse_config_text(text))
-        gains = _resolve_gains(config, 7)
+        gains = _resolve_gains(config)
         verdicts = []
         for si, deadline in enumerate(config.sweep_values):
             for rep in range(config.replications):

@@ -113,6 +113,21 @@ class TestFrameworkParams:
             # log positivity: zeta + beta*eps must exceed 1
             FrameworkParams(urgency=LogUrgency(beta=1.0, zeta=0.5))
 
+    def test_nan_exp_eta_rejected(self):
+        # a NaN eta made l-exp serve nobody once two users were active
+        with pytest.raises(ValueError, match="eta must be finite"):
+            make_policy("l-exp", FrameworkParams(urgency=ExpUrgency(eta=math.nan)))
+
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf])
+    def test_infinite_exp_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            ExpUrgency(eta=eta)
+
+    def test_nan_delta_rejected(self):
+        # a NaN threshold silently fell back to the best rate
+        with pytest.raises(ValueError, match="delta must not be NaN"):
+            FrameworkParams(urgency=MaxWeightUrgency(), delta=math.nan)
+
     @given(
         l1=st.floats(1e-3, 1e3),
         l2=st.floats(1e-3, 1e3),

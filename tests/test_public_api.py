@@ -8,6 +8,7 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import threading
 
 import pytest
 
@@ -60,10 +61,33 @@ def test_import_loads_no_scipy():
 
 
 def test_serial_use_loads_no_process_pool():
-    # cli._map imports the process pool only for --jobs > 1, and gain
-    # estimation uses a bare thread
-    code = "import laxsched.cli\nlaxsched.estimate_gains(1.0, 4, 40_000, 1)"
+    # cli._map imports the process pool only for --jobs > 1, and the gain
+    # table is a fixed quadrature
+    code = "import laxsched.cli\nlaxsched.diversity_gains(1.0, 4)"
     assert modules_after(code, "concurrent.futures", "multiprocessing") == []
+
+
+def test_no_threads(tmp_path):
+    # the library starts no thread: no module imports threading, and a fluid
+    # run and an oracle check (each building its gain table) end with as
+    # many threads as they began with
+    for path in sorted(pathlib.Path(laxsched.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert "threading" not in {n.split(".")[0] for n in names}, path.name
+    config = tmp_path / "batch.txt"
+    config.write_text(
+        "mode = fluid\ntraffic.kind = identical\ntraffic.user_count = 4\n"
+        "traffic.arrival_spread = 0.5\nsweep.variable = deadline\nsweep.values = 2,200\n"
+        "policy.names = l2hpr\nreplications = 2\n"
+    )
+    before = threading.active_count()
+    for command in ("run", "oracle-check"):
+        argv = [command, "--config", str(config), "--out", str(tmp_path / f"{command}.csv")]
+        assert cli.main(argv) == 0
+        assert threading.active_count() == before
 
 
 def test_verdicts_load_no_scipy(tmp_path):
