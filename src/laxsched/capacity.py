@@ -75,36 +75,6 @@ class GainProfile:
                 return False
         return True
 
-    def to_table(self) -> str:
-        """Plain-text "k,g_k" table with 17 significant digits, which
-        round-trips every double exactly, so ``from_table`` gives back the
-        same gains and accepts every table a valid profile writes."""
-        lines = ["k,g_k"]
-        lines += [f"{k},{g:.17g}" for k, g in enumerate(self.gains)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_table(cls, text: str) -> "GainProfile":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "k,g_k":
-            raise ValueError('gain table must start with header "k,g_k"')
-        gains = []
-        for expected_k, line in enumerate(lines[1:]):
-            k_str, g_str = line.split(",")
-            if int(k_str) != expected_k:
-                raise ValueError(f"gain table rows out of order at k={k_str}")
-            gains.append(float(g_str))
-        return cls(tuple(gains))
-
-    def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_table())
-
-    @classmethod
-    def load(cls, path) -> "GainProfile":
-        with open(path) as fh:
-            return cls.from_table(fh.read())
-
 
 @cache
 def _composite_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
-"""Experiment runner: config-driven replication sweeps, gain-table
-management, oracle checks, and the preset experiment families.
+"""Experiment runner: config-driven replication sweeps, oracle checks, and
+the preset experiment families.
 
 Config files are flat ``key = value`` text with dotted sections and ``#``
 comments. Every key must be one that the config's run reads
@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .capacity import GainProfile, diversity_gains
+from .capacity import diversity_gains
 from .channel import ChannelModel
 from .engine import SimReport, run_fluid, run_fluid_batch, run_tdm
 from .oracle import FeasibilityProblem, feasible
@@ -104,15 +104,12 @@ def _built(what: str, cls, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-_MODES = ("fluid", "tdm")
 _FRAMEWORK = tuple(_URGENCIES)
 
-# Every config key, and the runs that read it: "" every run; a mode or a
-# traffic kind, the runs of that mode or traffic.kind; a tuple of policies,
-# the runs listing one of them (the policy.* overrides). run and oracle-check
-# reject a key that their config's run does not read. gains reads
-# traffic.user_count, channel.mean_sinr and gains.k_max, and rejects only
-# keys missing here, so a run config feeds it too.
+# Every config key, and the runs that read it: "" every run; a traffic kind,
+# the runs of that traffic.kind; a tuple of policies, the runs listing one of
+# them (the policy.* overrides). run and oracle-check reject a key that their
+# config's run does not read.
 _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "mode": "",
     "traffic.kind": "",
@@ -130,8 +127,6 @@ _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "size.mean_mb": "",
     "size.std_mb": "",
     "size.max_mb": "",
-    "gains.path": "fluid",
-    "gains.k_max": "fluid",
     "policy.delta": _FRAMEWORK,
     "policy.epsilon": _FRAMEWORK,
     "policy.kappa": _FRAMEWORK,
@@ -153,7 +148,7 @@ def _reject_unknown_keys(kv: dict[str, str]) -> None:
             raise ConfigError(f"unknown config key {key!r}; did you mean {near!r}?")
 
 
-def _reject_unread_keys(kv: dict[str, str], mode: str, kind: str, policies) -> None:
+def _reject_unread_keys(kv: dict[str, str], kind: str, policies) -> None:
     for key in kv:
         scope = _CONFIG_KEYS[key]
         if isinstance(scope, tuple):
@@ -161,9 +156,8 @@ def _reject_unread_keys(kv: dict[str, str], mode: str, kind: str, policies) -> N
                 raise ConfigError(
                     f"{key} is read only by {'/'.join(scope)}, not by any policy in policy.names"
                 )
-        elif scope not in ("", mode, kind):
-            field, value = ("mode", mode) if scope in _MODES else ("traffic.kind", kind)
-            raise ConfigError(f"{key} is read only when {field} = {scope}, not {value}")
+        elif scope not in ("", kind):
+            raise ConfigError(f"{key} is read only when traffic.kind = {scope}, not {kind}")
 
 
 @dataclass(frozen=True)
@@ -184,14 +178,12 @@ class ExperimentConfig:
     replications: int
     law: FileSizeLaw
     channel: ChannelModel
-    gains_path: str | None
-    gains_k_max: int
 
 
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     _reject_unknown_keys(kv)
     mode = _get(kv, "mode", str)
-    if mode not in _MODES:
+    if mode not in ("fluid", "tdm"):
         raise ConfigError(f"mode must be fluid or tdm, got {mode!r}")
     kind = _get(kv, "traffic.kind", str)
     if kind not in ("identical", "stationary"):
@@ -211,7 +203,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("fluid mode runs exactly the l2hpr policy")
     if mode == "tdm" and "l2hpr" in policies:
         raise ConfigError("l2hpr is fluid-only; tdm mode takes the heuristic/baseline policies")
-    _reject_unread_keys(kv, mode, kind, policies)
+    _reject_unread_keys(kv, kind, policies)
 
     replications = _get(kv, "replications", int)
     if replications < 1:
@@ -275,7 +267,6 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
 
     for name in policies:
         _built(f"parameters for {name}", _framework_params, name, overrides)
-    gains_k_max = _gain_k_max(kv, user_count)
 
     return ExperimentConfig(
         mode=mode,
@@ -292,17 +283,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         replications=replications,
         law=law,
         channel=channel,
-        gains_path=kv.get("gains.path"),
-        gains_k_max=gains_k_max,
     )
-
-
-def _gain_k_max(kv: dict[str, str], user_count: int | None) -> int:
-    """gains.k_max, by default enough for the batch and at least 15."""
-    k_max = _get(kv, "gains.k_max", int, max(15, user_count or 0))
-    if k_max < 1:
-        raise ConfigError("gains.k_max must be >= 1")
-    return k_max
 
 
 # The prefix of each framework policy's own policy.* keys.
@@ -320,16 +301,6 @@ def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams
     }
     shared = {key: overrides[key] for key in ("delta", "epsilon", "kappa") if key in overrides}
     return FrameworkParams(urgency(**own), **shared)
-
-
-def _resolve_gains(config: ExperimentConfig) -> GainProfile:
-    """The configured gain table, or the exact one for the config's channel;
-    it must cover the configured user count."""
-    profile = GainProfile.load(config.gains_path) if config.gains_path else None
-    k_max = profile.k_max if profile else config.gains_k_max
-    if k_max < config.user_count:
-        raise ConfigError(f"gain profile k_max={k_max} below user_count={config.user_count}")
-    return profile or diversity_gains(config.channel.mean_sinr, k_max)
 
 
 def _make_requests(config: ExperimentConfig, sweep_value: float, rng):
@@ -449,7 +420,9 @@ def _payloads(config: ExperimentConfig, gains, base_seed: int, trace_dir=None) -
 
 
 def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
-    gains = _resolve_gains(config) if config.mode == "fluid" else None
+    gains = None
+    if config.mode == "fluid":  # a batch never has more than user_count active
+        gains = diversity_gains(config.channel.mean_sinr, config.user_count)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     payloads = _payloads(config, gains, base_seed, trace_dir)
@@ -461,7 +434,10 @@ def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=No
 
 
 def _map(fn, items: list, jobs: int, chunksize: int) -> list:
-    """fn over items, in order, on up to jobs worker processes."""
+    """fn over items, in order, on up to jobs worker processes. The pool
+    starts every worker on its first submit, so it gets no more workers than
+    there are items."""
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
     # imported here: loading it costs every serial command about 20 ms
@@ -489,7 +465,7 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
     """One verdict per cell, on the instance the cell's runs simulate."""
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
-    gains = _resolve_gains(config)
+    gains = diversity_gains(config.channel.mean_sinr, config.user_count)
     lines = [ORACLE_HEADER]
     for payload in _payloads(config, gains, base_seed):
         requests, _ = _cell_run(payload)
@@ -498,13 +474,6 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
         lines.append(f"{sweep_value:.12g},{rep},{int(verdict.feasible)},{int(verdict.borderline)}")
     with open(out_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def cmd_gains(kv: dict[str, str], out_path: str) -> None:
-    _reject_unknown_keys(kv)
-    k_max = _gain_k_max(kv, _get(kv, "traffic.user_count", int, 0))
-    channel = _built("channel", ChannelModel, mean_sinr=_get(kv, "channel.mean_sinr", float, 1.0))
-    diversity_gains(channel.mean_sinr, k_max).save(out_path)
 
 
 _FIG_SWEEP_D = (60.0, 100.0, 140.0, 180.0, 220.0, 260.0, 300.0)
@@ -590,9 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--trace", action="store_true", help="write per-slot traces")
 
-    p_gains = sub.add_parser("gains", help="compute and save the exact gain table")
-    common(p_gains)
-
     p_run = sub.add_parser("run", help="run a sweep experiment to CSV")
     common(p_run)
 
@@ -622,18 +588,14 @@ def main(argv=None) -> int:
         # reject the flags a command would otherwise ignore
         if args.trace and args.command != "run":
             raise ConfigError(f"--trace applies only to run, not {args.command}")
-        if args.seed is not None and args.command == "gains":
-            raise ConfigError("gains computes its table exactly and takes no --seed")
-        if args.jobs > 1 and args.command in ("gains", "oracle-check"):
-            raise ConfigError(f"{args.command} runs serially; --jobs must be 1")
+        if args.jobs > 1 and args.command == "oracle-check":
+            raise ConfigError("oracle-check runs serially; --jobs must be 1")
         if args.config and args.command == "reproduce":
             raise ConfigError("reproduce runs fixed presets and takes no --config")
         if not args.config and args.command in ("run", "oracle-check"):
             raise ConfigError(f"{args.command} needs --config")
         kv = load_config(args.config) if args.config else {}
-        if args.command == "gains":
-            cmd_gains(kv, args.out)
-        elif args.command == "run":
+        if args.command == "run":
             cmd_run(build_experiment_config(kv), args.out, seed, args.jobs, args.trace)
         elif args.command == "oracle-check":
             cmd_oracle_check(build_experiment_config(kv), args.out, seed)

@@ -23,7 +23,6 @@ __all__ = [
 
 
 class FlowStatus(enum.Enum):
-    ACTIVE = "active"
     COMPLETED = "completed"
     EXPIRED = "expired"
 

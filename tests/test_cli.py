@@ -1,13 +1,12 @@
 import pytest
 
 from laxsched import cli
-from laxsched.capacity import GainProfile, diversity_gains
+from laxsched.capacity import diversity_gains
 from laxsched.channel import ChannelModel
 from laxsched.cli import (
     ConfigError,
     _write_trace,
     build_experiment_config,
-    cmd_gains,
     cmd_oracle_check,
     cmd_run,
     main,
@@ -36,7 +35,7 @@ def tdm_config_text(**overrides):
     return "\n".join(f"{k} = {v}" for k, v in base.items())
 
 
-def fluid_config_text(gains_path, **overrides):
+def fluid_config_text(**overrides):
     base = {
         "mode": "fluid",
         "traffic.kind": "identical",
@@ -46,17 +45,9 @@ def fluid_config_text(gains_path, **overrides):
         "sweep.values": "50,100,200",
         "policy.names": "l2hpr",
         "replications": "3",
-        "gains.path": str(gains_path),
     }
-    base.update(overrides)  # an override of None drops the key
-    return "\n".join(f"{k} = {v}" for k, v in base.items() if v is not None)
-
-
-@pytest.fixture(scope="module")
-def gains_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("gains") / "gains.csv"
-    GainProfile((0.0, 1.0, 1.394097, 1.621773, 1.776493, 1.891485)).save(path)
-    return path
+    base.update(overrides)
+    return "\n".join(f"{k} = {v}" for k, v in base.items())
 
 
 class TestConfigParsing:
@@ -76,8 +67,8 @@ class TestConfigParsing:
 
 
 class TestConfigValidation:
-    def test_round_trip(self, gains_file):
-        cfg = build_experiment_config(parse_config_text(fluid_config_text(gains_file)))
+    def test_round_trip(self):
+        cfg = build_experiment_config(parse_config_text(fluid_config_text()))
         assert cfg.mode == "fluid"
         assert cfg.sweep_values == (50.0, 100.0, 200.0)
 
@@ -90,19 +81,19 @@ class TestConfigValidation:
             {"policy.names": "best-rate"},
             {"mode": "warp"},
             {"gains.samples": "20000"},  # unknown: the gain table is exact
-            {"gains.k_max": "0"},
+            {"gains.k_max": "0"},  # unknown: the table covers the batch
         ],
     )
-    def test_rejects_bad_values(self, gains_file, override):
+    def test_rejects_bad_values(self, override):
         with pytest.raises(ConfigError):
             build_experiment_config(
-                parse_config_text(fluid_config_text(gains_file, **override))
+                parse_config_text(fluid_config_text(**override))
             )
 
-    def test_fluid_requires_l2hpr_only(self, gains_file):
+    def test_fluid_requires_l2hpr_only(self):
         with pytest.raises(ConfigError):
             build_experiment_config(
-                parse_config_text(fluid_config_text(gains_file, **{"policy.names": "max-ci"}))
+                parse_config_text(fluid_config_text(**{"policy.names": "max-ci"}))
             )
 
     def test_tdm_rejects_l2hpr(self):
@@ -160,7 +151,8 @@ class TestStrictKeys:
                 "traffic.arrival_spread = 0.5",
                 "traffic.arrival_spread is read only when traffic.kind = identical, not stationary",
             ),
-            ("gains.k_max = 3", "gains.k_max is read only when mode = fluid, not tdm"),
+            # the gain table is built for the batch; no key sizes it
+            ("gains.k_max = 3", "unknown config key 'gains.k_max'; did you mean 'size.max_mb'?"),
             (
                 "policy.alpha = 3",
                 "policy.alpha is read only by l-maxweight, not by any policy in policy.names",
@@ -176,8 +168,8 @@ class TestStrictKeys:
         assert f"config error: {message}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "oracle-check"])
-    def test_fluid_rejects_stationary_key(self, tmp_path, gains_file, capsys, command):
-        text = fluid_config_text(gains_file, **{"traffic.rate": "0.05"})
+    def test_fluid_rejects_stationary_key(self, tmp_path, capsys, command):
+        text = fluid_config_text(**{"traffic.rate": "0.05"})
         assert run_main(tmp_path, text, command) == 2
         err = capsys.readouterr().err
         assert "traffic.rate is read only when traffic.kind = stationary, not identical" in err
@@ -187,13 +179,6 @@ class TestStrictKeys:
         assert build_experiment_config(parse_config_text(text)).framework_overrides == {
             "alpha": 2.0
         }
-
-    def test_gains_rejects_only_unknown_keys(self, tmp_path, capsys):
-        assert run_main(tmp_path, "gains.kmax = 4\n", "gains") == 2
-        assert "did you mean 'gains.k_max'?" in capsys.readouterr().err
-        # a tdm run config's keys are known, so gains takes it
-        text = tdm_config_text() + "\ngains.k_max = 20\n"
-        assert run_main(tmp_path, text, "gains") == 0
 
 
 class TestBadValues:
@@ -212,7 +197,6 @@ class TestBadValues:
             ("fluid", {"sweep.values": "-5,60"}, "bad traffic at -5: deadline must be finite"),
             ("fluid", {"sweep.values": "60,nan"}, "bad traffic at nan: deadline must be finite"),
             ("fluid", {"sweep.values": "60,inf"}, "bad traffic at inf: deadline must be finite"),
-            ("gains", {"channel.mean_sinr": "0"}, "bad channel: mean_sinr must be finite and > 0"),
             # a NaN urgency exponent made l-exp serve nobody once two users were active
             (
                 "tdm",
@@ -222,17 +206,12 @@ class TestBadValues:
         ],
         ids=[
             "user-count", "spread", "size", "size-std", "sinr", "rate", "negative", "nan", "inf",
-            "gains-sinr", "exp-eta-nan",
+            "exp-eta-nan",
         ],
     )
-    def test_exit_two(self, tmp_path, gains_file, capsys, kind, override, message):
-        if kind == "fluid":
-            text = fluid_config_text(gains_file, **override)
-        elif kind == "tdm":
-            text = tdm_config_text(**override)
-        else:
-            text = "".join(f"{k} = {v}\n" for k, v in override.items())
-        assert run_main(tmp_path, text, "gains" if kind == "gains" else "run") == 2
+    def test_exit_two(self, tmp_path, capsys, kind, override, message):
+        text = fluid_config_text(**override) if kind == "fluid" else tdm_config_text(**override)
+        assert run_main(tmp_path, text) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
@@ -252,49 +231,6 @@ class TestBadValues:
     def test_non_finite_rejected_at_config_time(self, override):
         with pytest.raises(ConfigError):
             build_experiment_config(parse_config_text(tdm_config_text(**override)))
-
-
-class TestCmdGains:
-    def test_writes_valid_table(self, tmp_path):
-        out = tmp_path / "g.csv"
-        cmd_gains({"gains.k_max": "6"}, out)
-        profile = GainProfile.load(out)  # validates monotone/concave
-        assert profile.gains[1] == 1.0
-        assert profile.k_max == 6
-
-    def test_same_seed_byte_identical(self, tmp_path):
-        # the table takes no seed: two writes of one config are the same bytes
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        kv = {"gains.k_max": "5"}
-        cmd_gains(kv, a)
-        cmd_gains(kv, b)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text() == diversity_gains(1.0, 5).to_table()
-
-    def test_k_max_defaults_to_user_count(self, tmp_path):
-        out = tmp_path / "g.csv"
-        cmd_gains({"traffic.user_count": "20"}, out)
-        assert GainProfile.load(out).k_max == 20
-        cmd_gains({"traffic.user_count": "4"}, out)
-        assert GainProfile.load(out).k_max == 15
-
-    def test_written_table_feeds_run(self, tmp_path):
-        # a 20-user table that gains writes loads and feeds a run
-        cfg = tmp_path / "cfg.txt"
-        overrides = {
-            "gains.path": None,
-            "traffic.user_count": "20",
-            "sweep.values": "100",
-            "replications": "1",
-        }
-        cfg.write_text(fluid_config_text(None, **overrides))
-        table = tmp_path / "g.csv"
-        assert main(["gains", "--config", str(cfg), "--out", str(table)]) == 0
-        assert GainProfile.load(table).k_max == 20
-        cfg.write_text(fluid_config_text(table, **dict(overrides, **{"gains.path": table})))
-        out = tmp_path / "run.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
-        assert out.read_text().splitlines()[1].split(",")[4] == "20"
 
 
 class TestTraceWriter:
@@ -337,8 +273,8 @@ class TestTraceWriter:
 
 
 class TestCmdRun:
-    def test_csv_schema(self, tmp_path, gains_file):
-        cfg = build_experiment_config(parse_config_text(fluid_config_text(gains_file)))
+    def test_csv_schema(self, tmp_path):
+        cfg = build_experiment_config(parse_config_text(fluid_config_text()))
         out = tmp_path / "run.csv"
         cmd_run(cfg, out, base_seed=5, jobs=1, trace=False)
         lines = out.read_text().splitlines()
@@ -351,8 +287,8 @@ class TestCmdRun:
         assert first[3] == "l2hpr"
         assert int(first[4]) == 4
 
-    def test_rerun_byte_identical(self, tmp_path, gains_file):
-        cfg = build_experiment_config(parse_config_text(fluid_config_text(gains_file)))
+    def test_rerun_byte_identical(self, tmp_path):
+        cfg = build_experiment_config(parse_config_text(fluid_config_text()))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cmd_run(cfg, a, base_seed=5, jobs=1, trace=False)
         cmd_run(cfg, b, base_seed=5, jobs=1, trace=False)
@@ -371,12 +307,12 @@ class TestCmdRun:
         assert header == "slot,user_id,residual,virtual_laxity,in_LLS,decision"
 
     def test_untraced_fluid_identical_across_jobs_and_batches(
-        self, tmp_path, gains_file, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         # untraced fluid cells run in run_fluid_batch chunks; a batch of 2
         # cuts the 9 cells across chunk boundaries at every --jobs level, and
         # the traced run, which steps each cell alone, is the reference
-        cfg = build_experiment_config(parse_config_text(fluid_config_text(gains_file)))
+        cfg = build_experiment_config(parse_config_text(fluid_config_text()))
         reference = tmp_path / "traced.csv"
         cmd_run(cfg, reference, base_seed=5, jobs=1, trace=True)
         outputs = {}
@@ -390,8 +326,8 @@ class TestCmdRun:
         assert set(outputs.values()) == {reference.read_bytes()}
 
     @pytest.mark.parametrize("kind, cells", [("fluid", 9), ("tdm", 8)])
-    def test_traces_identical_across_jobs(self, tmp_path, gains_file, kind, cells):
-        text = fluid_config_text(gains_file) if kind == "fluid" else tdm_config_text()
+    def test_traces_identical_across_jobs(self, tmp_path, kind, cells):
+        text = fluid_config_text() if kind == "fluid" else tdm_config_text()
         cfg = build_experiment_config(parse_config_text(text))
         traces = {}
         for jobs in (1, 2):
@@ -405,8 +341,8 @@ class TestCmdRun:
 
 
 class TestCmdOracleCheck:
-    def test_schema_and_extremes(self, tmp_path, gains_file):
-        text = fluid_config_text(gains_file, **{"sweep.values": "2,10000"})
+    def test_schema_and_extremes(self, tmp_path):
+        text = fluid_config_text(**{"sweep.values": "2,10000"})
         cfg = build_experiment_config(parse_config_text(text))
         out = tmp_path / "oracle.csv"
         cmd_oracle_check(cfg, out, base_seed=2)
@@ -429,13 +365,7 @@ class TestCmdOracleCheck:
     )
     def test_staggered_batches_answer(self, tmp_path, users, deadline):
         text = fluid_config_text(
-            None,
-            **{
-                "gains.path": None,
-                "traffic.user_count": str(users),
-                "sweep.values": deadline,
-                "replications": "1",
-            },
+            **{"traffic.user_count": str(users), "sweep.values": deadline, "replications": "1"}
         )
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(text)
@@ -475,11 +405,11 @@ class TestMainEntry:
         ids=["fluid", "tdm"],
     )
     def test_repeated_policy_is_config_error(
-        self, tmp_path, gains_file, capsys, mode, names, repeated
+        self, tmp_path, capsys, mode, names, repeated
     ):
         cfg = tmp_path / "cfg.txt"
         if mode == "fluid":
-            cfg.write_text(fluid_config_text(gains_file, **{"policy.names": names}))
+            cfg.write_text(fluid_config_text(**{"policy.names": names}))
         else:
             cfg.write_text(tdm_config_text(**{"policy.names": names}))
         out = tmp_path / "x.csv"
@@ -488,12 +418,11 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_runtime_error_exit_three(self, tmp_path):
-        # config points at a gains table that does not exist
+        # the output goes into a directory that does not exist
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(
-            fluid_config_text(tmp_path / "missing_gains.csv", **{"sweep.values": "50"})
-        )
-        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        cfg_path.write_text(fluid_config_text(**{"sweep.values": "50"}))
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 3
 
     def test_reproduce_unknown_figure_rejected(self, tmp_path, capsys):
@@ -504,44 +433,29 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gains", "--config", "CFG", "--trace"],
             ["oracle-check", "--config", "CFG", "--trace"],
             ["reproduce", "fig3b", "--replications", "1", "--trace"],
-            ["gains", "--config", "CFG", "--jobs", "2"],
             ["oracle-check", "--config", "CFG", "--jobs", "2"],
             ["reproduce", "fig3b", "--replications", "1", "--config", "CFG"],
-            # the gain table is exact and reads no seed
-            ["gains", "--config", "CFG", "--seed", "1"],
-            ["gains", "--config", "CFG", "--seed", "0"],
         ],
-        ids=[
-            "gains-trace",
-            "oracle-check-trace",
-            "reproduce-trace",
-            "gains-jobs",
-            "oracle-check-jobs",
-            "reproduce-config",
-            "gains-seed",
-            "gains-seed-zero",
-        ],
+        ids=["oracle-check-trace", "reproduce-trace", "oracle-check-jobs", "reproduce-config"],
     )
-    def test_ignored_flags_rejected(self, tmp_path, gains_file, capsys, argv):
+    def test_ignored_flags_rejected(self, tmp_path, capsys, argv):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(fluid_config_text(gains_file))
+        cfg.write_text(fluid_config_text())
         out = tmp_path / "x.csv"
         argv = [str(cfg) if a == "CFG" else a for a in argv]
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gains", "run", "oracle-check", "reproduce"])
-    def test_jobs_one_accepted(self, tmp_path, gains_file, command):
+    @pytest.mark.parametrize("command", ["run", "oracle-check", "reproduce"])
+    def test_jobs_one_accepted(self, tmp_path, command):
         cfg = tmp_path / "cfg.txt"
         if command == "run":
             cfg.write_text(tdm_config_text())
         else:
-            text = fluid_config_text(gains_file, **{"sweep.values": "50", "replications": "1"})
-            cfg.write_text(text + "\ngains.k_max = 4\n")
+            cfg.write_text(fluid_config_text(**{"sweep.values": "50", "replications": "1"}))
         if command == "reproduce":
             head = ["reproduce", "fig3b", "--replications", "1"]
         else:
@@ -550,32 +464,32 @@ class TestMainEntry:
         assert main([*head, "--out", str(out), "--jobs", "1"]) == 0
         assert out.exists()
 
-    def test_oracle_check_k_max_below_user_count_is_config_error(self, tmp_path, gains_file):
-        cfg = tmp_path / "cfg.txt"
-        # a built profile (no gains.path) of k_max 3 for 4 users
-        overrides = {"gains.path": None, "gains.k_max": "3"}
-        cfg.write_text(fluid_config_text(gains_file, **overrides))
-        code = main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-
-    @pytest.mark.parametrize("command", ["gains", "run", "oracle-check"])
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
     @pytest.mark.parametrize(
         "setting, message",
         [
-            # the table is exact, so there is no sample count to set
+            # the table is exact and built for the batch, so no key sets its
+            # sample count, its size or its file
             (
                 "gains.samples = 20000",
-                "config error: unknown config key 'gains.samples'; did you mean 'gains.path'?",
+                "config error: unknown config key 'gains.samples'; did you mean 'policy.names'?",
             ),
-            ("gains.k_max = 0", "config error: gains.k_max must be >= 1"),
+            (
+                "gains.k_max = 0",
+                "config error: unknown config key 'gains.k_max'; did you mean 'size.max_mb'?",
+            ),
+            (
+                "gains.path = gains.csv",
+                "config error: unknown config key 'gains.path'; did you mean 'traffic.rate'?",
+            ),
         ],
-        ids=["samples", "k_max"],
+        ids=["samples", "k_max", "path"],
     )
     def test_bad_gain_settings_are_config_errors(
-        self, tmp_path, gains_file, capsys, command, setting, message
+        self, tmp_path, capsys, command, setting, message
     ):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(fluid_config_text(None, **{"gains.path": None}) + f"\n{setting}\n")
+        cfg.write_text(fluid_config_text() + f"\n{setting}\n")
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -585,22 +499,69 @@ class TestMainEntry:
     def test_k_max_below_user_count_rejected_before_estimating(
         self, tmp_path, monkeypatch, command
     ):
+        # gains.k_max is no longer a key: the config is rejected before any
+        # gain table is built
         def build(*args):
             raise AssertionError("gains built for a config that is rejected")
 
         monkeypatch.setattr(cli, "diversity_gains", build)
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(fluid_config_text(None, **{"gains.path": None, "gains.k_max": "3"}))
+        cfg.write_text(fluid_config_text(**{"gains.k_max": "3"}))
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_gains_via_main(self, tmp_path):
+    def test_gains_subcommand_rejected(self, tmp_path):
+        # the table is built from each config, so there is none to save
         out = tmp_path / "g.csv"
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("gains.k_max = 4\n")
-        code = main(["gains", "--config", str(cfg), "--out", str(out)])
-        assert code == 0
-        assert GainProfile.load(out).k_max == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["gains", "--out", str(out)])
+        assert exc.value.code == 2  # argparse invalid choice
+        assert not out.exists()
+
+
+class TestWorkerCount:
+    """A process pool starts all its workers on the first submit, so --jobs
+    far above the cell count must not start that many. A fake pool records
+    the worker count and maps serially: no process is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return created
+
+    @pytest.mark.parametrize("kind, cells", [("fluid", 9), ("tdm", 4)])
+    def test_workers_capped_at_cells(self, tmp_path, pools, kind, cells):
+        text = fluid_config_text() if kind == "fluid" else tdm_config_text()
+        cfg = build_experiment_config(parse_config_text(text))
+        serial = tmp_path / "serial.csv"
+        cmd_run(cfg, serial, base_seed=5, jobs=1, trace=False)
+        assert pools == []
+        for jobs in (2, 5000):
+            out = tmp_path / f"jobs{jobs}.csv"
+            cmd_run(cfg, out, base_seed=5, jobs=jobs, trace=False)
+            assert out.read_bytes() == serial.read_bytes()
+        assert pools == [2, cells]
+
+    def test_one_item_runs_in_process(self, pools):
+        assert cli._map(abs, [-3], 5000, 1) == [3]
+        assert pools == []
 
 
 class TestReproduce:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxsched.capacity import GainProfile
+from laxsched.capacity import GainProfile, diversity_gains
 from laxsched.channel import ChannelModel
-from laxsched.cli import _make_requests, _resolve_gains, build_experiment_config, main, parse_config_text
+from laxsched.cli import _make_requests, build_experiment_config, main, parse_config_text
 from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
 from laxsched.oracle import (
@@ -285,11 +285,10 @@ class TestFrontier:
     def verdicts(self, tmp_path_factory):
         # oracle-check on a 4-user batch, 8 replications per deadline
         tmp = tmp_path_factory.mktemp("frontier")
-        GAINS.save(tmp / "gains.csv")
         (tmp / "batch.txt").write_text(
             "mode = fluid\ntraffic.kind = identical\ntraffic.user_count = 4\n"
             "traffic.arrival_spread = 0.5\nsweep.variable = deadline\nsweep.values = 0.5,640\n"
-            f"policy.names = l2hpr\nreplications = 8\ngains.path = {tmp / 'gains.csv'}\n"
+            "policy.names = l2hpr\nreplications = 8\n"
         )
         out = tmp / "oracle.csv"
         assert main(["oracle-check", "--config", str(tmp / "batch.txt"), "--out", str(out)]) == 0
@@ -422,7 +421,7 @@ class TestStaggeredM12:
             "replications = 3",
         ])
         config = build_experiment_config(parse_config_text(text))
-        gains = _resolve_gains(config)
+        gains = diversity_gains(config.channel.mean_sinr, config.user_count)
         verdicts = []
         for si, deadline in enumerate(config.sweep_values):
             for rep in range(config.replications):

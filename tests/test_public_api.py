@@ -1,8 +1,9 @@
 """Tooling checks against stale names: every exported name resolves, every
-name the demos import from laxsched exists, and the README's config keys are
-the CLI's. The demos are parsed, not run, because some of them take many
+name the demos import from laxsched exists, and the README's config keys and
+subcommands are the CLI's. The demos are parsed, not run, because some of them take many
 seconds."""
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -94,13 +95,11 @@ def test_verdicts_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: the package, the CLI's
     # oracle-check and run, and reading, replaying and printing witnesses
     # load no scipy
-    gains_path = tmp_path / "gains.csv"
-    laxsched.GainProfile((0.0, 1.0, 1.394097, 1.621773, 1.776493)).save(gains_path)
     config = tmp_path / "batch.txt"
     config.write_text(
         "mode = fluid\ntraffic.kind = identical\ntraffic.user_count = 4\n"
         "traffic.arrival_spread = 0.5\nsweep.variable = deadline\nsweep.values = 2,200\n"
-        f"policy.names = l2hpr\nreplications = 2\ngains.path = {gains_path}\n"
+        "policy.names = l2hpr\nreplications = 2\n"
     )
     out = tmp_path / "oracle.csv"
     code = f"""
@@ -143,7 +142,24 @@ def test_readme_names_every_config_key():
     assert set(cli.parse_config_text(block)) | named == set(cli._CONFIG_KEYS)
 
 
-def test_example_configs_load(tmp_path, monkeypatch):
+def test_readme_names_every_subcommand():
+    # the "Subcommands:" sentence and the shell examples name the parser's
+    # subcommands, no more and no fewer
+    text = (ROOT / "README.md").read_text()
+    (sentence,) = re.findall(r"Subcommands:(.*?)\.", text, re.S)
+    examples = {
+        line.split()[1]
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("laxsched ")
+    }
+    (subparsers,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(re.findall(r"`([a-z-]+)`", sentence)) == examples == set(subparsers.choices)
+
+
+def test_example_configs_load(monkeypatch):
     # the README example, the four presets, the benchmark's batch config and
     # the tests' config builders; the tests' inline configs load in the
     # tests that run them
@@ -158,7 +174,7 @@ def test_example_configs_load(tmp_path, monkeypatch):
         workloads.batch_config(15, 3),
         test_acceptance.TestCriterion10.CONFIG,
         test_cli.tdm_config_text(),
-        test_cli.fluid_config_text(tmp_path / "gains.csv"),
+        test_cli.fluid_config_text(),
     ]
     for text in texts:
         cli.build_experiment_config(cli.parse_config_text(text))
