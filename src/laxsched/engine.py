@@ -17,11 +17,11 @@ take 0.05 s. Tracing stays one run at a time because a run's trace is about
 2 MB: batching the 21 traced cells of a 15-user sweep would hold about 38 MB
 of trace at once.
 
-The TDM mode asks its policy only when two or more users are active. A lone
-active user is served without the policy, in one stretch of slots that ends
-at the next admission, at the user's expiry slot or at its completion. Every
-built-in policy chooses a lone user whose laxity is finite, so outcomes and
-traces are the same as if it were asked; a policy never sees a single user.
+The TDM mode serves a held choice in one stretch of slots that ends at the
+next admission, at the first slot at or after the earliest active deadline
+or at the served user's completion. A lone active user is held without
+asking the policy (every built-in policy chooses a lone user of finite
+laxity), and a policy in ``policies.HELD`` is asked once per stretch.
 Channel rates are drawn in blocks from the run's generator, in the same
 order and with the same float operations as one draw per active user per
 slot, so a seed gives the same report whatever the block size.
@@ -39,7 +39,7 @@ import numpy as np
 from .capacity import GainProfile
 from .channel import ChannelModel
 from .core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
-from .policies import _l2hpr_rates, _too_many_active
+from .policies import HELD, _l2hpr_rates, _too_many_active
 from .seeding import generator_from
 
 __all__ = [
@@ -387,8 +387,8 @@ def run_fluid(
     boundary logs laxities, the least-laxity set, and the laxity-order
     invariant over all arrived users (completed users held at laxity D).
     """
-    if slot_length <= 0.0:
-        raise ValueError("slot_length must be > 0")
+    if not 0.0 < slot_length < math.inf:
+        raise ValueError("slot_length must be finite and > 0")
     if not requests:
         return SimReport(outcomes={}, trace=[] if record_trace else None)
     validate_requests(requests, same_deadline=True)
@@ -473,8 +473,8 @@ def run_fluid_batch(
     events = []  # (admission slot, lane, column)
     for lane, (requests, dt) in enumerate(runs):
         try:
-            if dt <= 0.0:
-                raise ValueError("slot_length must be > 0")
+            if not 0.0 < dt < math.inf:
+                raise ValueError("slot_length must be finite and > 0")
             if requests:
                 validate_requests(requests, same_deadline=True)
             users = sorted(requests, key=lambda r: r.user_id)
@@ -577,12 +577,13 @@ def run_tdm(
     User ids must be distinct; deadlines may differ. Per slot: admit
     arrivals, drop expired users, draw one normalized rate per active user
     (ascending user id order), let the policy choose, and advance only the
-    chosen flow. The policy is asked only when two or more users are
-    active: a lone active user is served without it. Fixed seed gives a
-    bit-identical report.
+    chosen flow. A lone active user is served without asking the policy, and
+    a policy named in ``policies.HELD`` is asked once per stretch: both hold
+    their choice until the next admission, expiry slot or its completion.
+    Fixed seed gives a bit-identical report.
     """
-    if slot_length <= 0.0:
-        raise ValueError("slot_length must be > 0")
+    if not 0.0 < slot_length < math.inf:
+        raise ValueError("slot_length must be finite and > 0")
     validate_requests(requests)
     ordered = sorted(requests, key=lambda r: (r.arrival_time, r.user_id))
     outcomes: dict[int, UserOutcome] = {}
@@ -592,24 +593,26 @@ def run_tdm(
 
     admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
     admit_slot.append(math.inf)  # no admission after the last request
+    held = policy.name in HELD
     rng = generator_from(seed)
     mean_sinr = channel.mean_sinr
     rate_scale = 1.0 / (_LN2 * channel.spectral_efficiency)
     log1p = math.log1p
 
     def draw_rates() -> list[float]:
-        # one rate per draw, in draw order; math.log1p, not np.log1p, whose
-        # SIMD path can differ in the last bit
+        # one rate per draw, in draw order, or a held run's raw draws;
+        # math.log1p, not np.log1p, whose SIMD path can differ in the last bit
         gammas = rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
-        return [log1p(g) * rate_scale for g in gammas]
+        return gammas if held else [log1p(g) * rate_scale for g in gammas]
 
-    buf: list[float] = []  # drawn rates; buf[pos] is the next one
+    buf: list[float] = []  # drawn rates (raw if held); buf[pos] is the next one
     pos = 0
     # the active users' ids, deadlines and residuals, ascending id
     active: list[int] = []
     dls: list[float] = []
     res: list[float] = []
-    next_expiry = math.inf  # at or below every active user's deadline
+    # next_expiry is at or below every active deadline; expiry_slot its slot
+    next_expiry = expiry_slot = math.inf
     n_requests = len(ordered)
     next_req = 0
     next_admit = admit_slot[0]
@@ -622,7 +625,9 @@ def run_tdm(
                 active.insert(i, req.user_id)
                 dls.insert(i, req.deadline)
                 res.insert(i, req.initial_size)
-                next_expiry = min(next_expiry, req.deadline)
+                if req.deadline < next_expiry:
+                    next_expiry = req.deadline
+                    expiry_slot = first_slot_at_or_after(next_expiry, slot_length)
                 next_req += 1
             next_admit = admit_slot[next_req]
         t = n * slot_length
@@ -636,7 +641,9 @@ def run_tdm(
             active = [active[i] for i in kept]
             dls = [dls[i] for i in kept]
             res = [res[i] for i in kept]
-            next_expiry = min(dls, default=math.inf)
+            next_expiry = expiry_slot = min(dls, default=math.inf)
+            if next_expiry < math.inf:
+                expiry_slot = first_slot_at_or_after(next_expiry, slot_length)
 
         k = len(active)
         if k == 0:
@@ -645,29 +652,45 @@ def run_tdm(
             n = next_admit  # idle until the next admission
             continue
 
-        if k == 1:
-            # Serve the lone user until the next admission, its expiry slot
-            # or its completion, one draw per slot.
-            u, d, left = active[0], dls[0], res[0]
-            expiry = first_slot_at_or_after(d, slot_length) if d < math.inf else d
-            stop = min(next_admit, expiry)
+        if k == 1 or held:
+            # hold one choice to the next admission, expiry slot or completion
+            i = 0
+            if k > 1:
+                while pos + k > len(buf):
+                    buf, pos = buf[pos:] + draw_rates(), 0
+                laxities = [d - t - r for d, r in zip(dls, res)]
+                rates = [log1p(g) * rate_scale for g in buf[pos : pos + k]]
+                choice = policy.select_arrays(active, laxities, rates, dls)
+                try:
+                    i = active.index(choice)
+                except ValueError:
+                    raise _not_active(policy, choice, n) from None
+            u, left = active[i], res[i]
+            stop = min(next_admit, expiry_slot)
+            p, last = pos + i, len(buf) - k + i  # the served draw; a slot fits while p <= last
             while True:
-                if pos == len(buf):
-                    buf, pos = draw_rates(), 0
-                rate = buf[pos]
-                pos += 1
+                while p > last:
+                    buf, p = buf[p - i :] + draw_rates(), i
+                    last = len(buf) - k + i
+                rate = buf[p]
+                if held:
+                    rate = log1p(rate) * rate_scale
+                p += k
                 if record_trace:
-                    record = TraceRecord(n, n * slot_length, {u: left}, {u: d - left}, None, None, u)
-                    trace.append(record)
+                    res[i] = left
+                    residuals = dict(zip(active, res))
+                    virtual = {v: d - r for v, d, r in zip(active, dls, res)}
+                    trace.append(TraceRecord(n, n * slot_length, residuals, virtual, None, None, u))
                 left = left - rate * slot_length
                 n += 1
                 if left <= 0.0:
-                    active, dls, res = [], [], []
+                    del active[i], dls[i], res[i]
                     outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
                     break
                 if n == stop:
-                    res[0] = left
+                    res[i] = left
                     break
+            pos = p - i
             continue
 
         while pos + k > len(buf):
@@ -676,30 +699,28 @@ def run_tdm(
         pos += k
         laxities = [d - t - r for d, r in zip(dls, res)]
         choice = policy.select_arrays(active, laxities, rates, dls)
+        try:
+            i = active.index(choice)
+        except ValueError:
+            if choice is not None:
+                raise _not_active(policy, choice, n) from None
 
         if record_trace:
-            trace.append(
-                TraceRecord(
-                    n,
-                    t,
-                    dict(zip(active, res)),
-                    {u: d - r for u, d, r in zip(active, dls, res)},
-                    None,
-                    None,
-                    choice,
-                )
-            )
+            virtual = {u: d - r for u, d, r in zip(active, dls, res)}
+            trace.append(TraceRecord(n, t, dict(zip(active, res)), virtual, None, None, choice))
 
         if choice is not None:
-            i = active.index(choice)
             left = res[i] - rates[i] * slot_length
             if left <= 0.0:
                 del active[i], dls[i], res[i]
-                outcomes[choice] = UserOutcome(
-                    choice, FlowStatus.COMPLETED, (n + 1) * slot_length
-                )
+                outcomes[choice] = UserOutcome(choice, FlowStatus.COMPLETED, (n + 1) * slot_length)
             else:
                 res[i] = left
         n += 1
 
     return SimReport(outcomes=outcomes, trace=trace)
+
+
+def _not_active(policy, choice, n: int) -> ValueError:
+    """The error of a TDM policy choosing a user that is not active."""
+    return ValueError(f"policy {policy.name!r} chose inactive user {choice!r} at slot {n}")

@@ -2,14 +2,15 @@
 laxity-threshold heuristic framework with three urgency functions, and the
 Max C/I, EDF, and LLF baselines.
 
-Every TDM rule is a policy object built by ``make_policy`` with one method,
-``select_arrays(uids, laxities, rates, deadlines)``, which takes the active
-users as parallel sequences in ascending user-id order and returns the user
-to serve (None for an empty queue). Every tie anywhere is broken by the
-smallest user id. Rates passed in here are already normalized (mean 1), so
-the default per-user weight kappa is 1. ``engine.run_tdm`` asks a policy
-only when two or more users are active and serves a lone user itself, the
-choice every policy here makes for one user of finite laxity.
+Every TDM rule is a policy object built by ``make_policy`` with a ``name``
+and one method, ``select_arrays(uids, laxities, rates, deadlines)``, which
+takes the active users as parallel sequences in ascending user-id order and
+returns the user to serve (None for an empty queue). Every tie anywhere is
+broken by the smallest user id. Rates passed in here are already normalized
+(mean 1), so the default per-user weight kappa is 1. ``engine.run_tdm``
+serves a lone user itself, the choice every policy here makes for one user
+of finite laxity, and asks a policy named in ``HELD`` once per stretch of
+slots that ends at the next admission, expiry slot or completion.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "LlfPolicy",
     "make_policy",
     "POLICY_NAMES",
+    "HELD",
 ]
 
 
@@ -205,6 +207,8 @@ class LlfPolicy:
 
 
 POLICY_NAMES = ("l-maxweight", "l-exp", "l-log", "max-ci", "edf", "llf")
+# Rules whose choice depends only on the active ids and deadlines: run_tdm holds it.
+HELD = frozenset({"edf"})
 
 
 def make_policy(name: str, params: FrameworkParams | None = None):

@@ -701,3 +701,192 @@ class TestLoneUserRule:
         slots = [r.slot_index for r in rep.trace]
         assert slots == sorted(set(slots))
 
+
+
+class CountingEdf:
+    """EDF under its own name, so the engine holds it, counting its calls."""
+
+    name = "edf"
+
+    def __init__(self):
+        self.calls = 0
+        self._edf = make_policy("edf")
+
+    def select_arrays(self, uids, laxities, rates, deadlines):
+        self.calls += 1
+        return self._edf.select_arrays(uids, laxities, rates, deadlines)
+
+
+class NonePolicy:
+    """Serves no one while any laxity is negative, else the least-laxity
+    user: a custom policy that is never held."""
+
+    name = "none-when-late"
+
+    def __init__(self):
+        self.calls = 0
+
+    def select_arrays(self, uids, laxities, rates, deadlines):
+        self.calls += 1
+        if min(laxities) < 0.0:
+            return None
+        return uids[laxities.index(min(laxities))]
+
+
+class ChoosesInactive:
+    """Chooses a user id that is never active."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def select_arrays(self, uids, laxities, rates, deadlines):
+        return 999
+
+
+def multi_user_runs(trace):
+    """Maximal runs of consecutive slots with one unchanged set of two or
+    more active users."""
+    runs, prev = 0, None
+    for rec in trace:
+        users = set(rec.residuals)
+        if len(users) >= 2 and (
+            prev is None or prev.slot_index != rec.slot_index - 1 or set(prev.residuals) != users
+        ):
+            runs += 1
+        prev = rec
+    return runs
+
+
+class TestHeldStretches:
+    """A held policy (EDF) is asked once per stretch: it serves its choice
+    until an admission, the earliest active deadline's slot or the served
+    user's completion. Every outcome and trace record equals the
+    reference's, which asks at every busy slot."""
+
+    CASES = {
+        # user 3 arrives at 2.0 (slot 8) while EDF serves user 1
+        "ended-by-admission": (
+            [req(1, 0.0, 50.0, 100.0), req(2, 0.0, 50.0, 120.0), req(3, 2.0, 1.0, 110.0)],
+            0.25,
+        ),
+        # 10 * 0.25 == 2.5 exactly: user 1 expires at slot 10
+        "ended-by-expiry-on-boundary": (
+            [req(1, 0.0, 100.0, 2.5), req(2, 0.0, 1.0, 9.0), req(3, 0.0, 1.0, 9.5)],
+            0.25,
+        ),
+        # 3 * 0.1 > 0.3 in floating point: user 1 expires at slot 3
+        "ended-by-expiry-rounded": (
+            [req(1, 0.0, 100.0, 0.3), req(2, 0.0, 0.2, 9.0), req(3, 0.0, 0.5, 9.0)],
+            0.1,
+        ),
+        "ended-by-completion": (
+            [req(1, 0.0, 0.6, 8.0), req(2, 0.0, 0.4, 8.0), req(3, 0.0, 2.0, 40.0)],
+            0.1,
+        ),
+        # user 1 (deadline 3) completes first; the stretch of users 2 and 3
+        # still ends at slot 12, the first slot at or after 3.0
+        "stale-expiry-after-completion": (
+            [req(1, 0.0, 0.2, 3.0), req(2, 0.0, 100.0, 9.0), req(3, 0.0, 1.0, 9.5)],
+            0.25,
+        ),
+        "idle-gap": (
+            [
+                req(1, 0.0, 0.5, 30.0),
+                req(2, 0.0, 0.5, 31.0),
+                req(3, 500.0, 1.0, 540.0),
+                req(4, 500.0, 1.0, 541.0),
+            ],
+            0.25,
+        ),
+    }
+    # stretch starts beyond the multi-user runs: the stale expiry slot
+    EXTRA_CALLS = {"stale-expiry-after-completion": 1}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case):
+        TestRunTdmMatchesReference.check_seeds(*self.CASES[case], "edf")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_call_per_stretch(self, case):
+        requests, dt = self.CASES[case]
+        for seed in range(5):
+            policy = CountingEdf()
+            rep = run_tdm(requests, CHANNEL, policy, dt, seed, record_trace=True)
+            ref = reference_run_tdm(requests, CHANNEL, make_policy("edf"), dt, seed, True)
+            assert same_run(rep, ref)
+            slots = [r.slot_index for r in rep.trace]
+            assert slots == sorted(set(slots))  # one record per busy slot
+            runs = multi_user_runs(rep.trace)
+            assert runs >= 1
+            assert policy.calls == runs + self.EXTRA_CALLS.get(case, 0), seed
+
+    def test_cases_end_stretches_as_named(self):
+        def run(case):
+            requests, dt = self.CASES[case]
+            policy = CountingEdf()
+            return policy, run_tdm(requests, CHANNEL, policy, dt, 1, record_trace=True)
+
+        policy, rep = run("ended-by-admission")
+        assert [len(r.residuals) for r in rep.trace[:9]] == [2] * 8 + [3]
+        assert [r.decision for r in rep.trace[:9]] == [1] * 9
+        policy, rep = run("ended-by-expiry-on-boundary")
+        assert rep.outcomes[1].status is FlowStatus.EXPIRED
+        assert [set(r.residuals) for r in rep.trace[9:11]] == [{1, 2, 3}, {2, 3}]
+        policy, rep = run("ended-by-expiry-rounded")
+        assert rep.outcomes[1].status is FlowStatus.EXPIRED
+        assert [len(r.residuals) for r in rep.trace[2:4]] == [3, 2]
+        policy, rep = run("ended-by-completion")
+        assert list(rep.outcomes)[:2] == [1, 2]
+        policy, rep = run("stale-expiry-after-completion")
+        assert rep.outcomes[1].status is FlowStatus.COMPLETED
+        assert rep.outcomes[1].completion_time < 3.0
+        assert set(rep.trace[12].residuals) == set(rep.trace[11].residuals) == {2, 3}
+        policy, rep = run("idle-gap")
+        assert rep.trace[-1].slot_index > 2000
+        assert policy.calls == 2
+
+    def test_rate_buffer_refills_mid_stretch(self, monkeypatch):
+        # a block shorter than the active set: a stretch's slots span refills
+        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
+        requests = [req(u, 0.0, 0.5 * u, 20.0) for u in range(1, 8)]
+        for seed in range(5):
+            for traced in (False, True):
+                args = (requests, CHANNEL, make_policy("edf"), 0.25, seed, traced)
+                assert same_run(run_tdm(*args), reference_run_tdm(*args))
+            policy = CountingEdf()
+            rep = run_tdm(requests, CHANNEL, policy, 0.25, seed, record_trace=True)
+            assert policy.calls == multi_user_runs(rep.trace) == 6  # users 1-7, 2-7, ..., 6-7
+
+    @pytest.mark.parametrize("make", [CountingPolicy, NonePolicy])
+    def test_other_policies_are_asked_every_busy_slot(self, make):
+        requests, dt = self.CASES["ended-by-completion"]
+        requests = requests + [req(4, 0.0, 3.0, 1.0)]  # late from the start
+        for seed in range(5):
+            args = (requests, CHANNEL, make(), dt, seed)
+            assert same_run(run_tdm(*args), reference_run_tdm(*args))
+            policy = make()
+            rep = run_tdm(requests, CHANNEL, policy, dt, seed, record_trace=True)
+            assert same_run(rep, reference_run_tdm(requests, CHANNEL, make(), dt, seed, True))
+            calls = policy.calls if make is NonePolicy else len(policy.sizes)
+            assert calls == sum(len(r.residuals) >= 2 for r in rep.trace)
+        assert any(r.decision is None for r in rep.trace) == (make is NonePolicy)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_slot_length_must_be_finite_and_positive(self, dt):
+        requests = [req(1, 0.0, 1.0, 10.0), req(2, 0.0, 2.0, 10.0)]
+        message = r"^slot_length must be finite and > 0$"
+        with pytest.raises(ValueError, match=message):
+            run_tdm(requests, CHANNEL, make_policy("edf"), dt, seed=1)
+        with pytest.raises(ValueError, match=message):
+            run_fluid(requests, GAINS, dt)
+        with pytest.raises(ValueError, match=message):
+            run_fluid_batch([(requests, dt)], GAINS)
+
+    @pytest.mark.parametrize("name", ["max-ci", "edf"], ids=["per-slot", "stretch-start"])
+    def test_choice_outside_active_set(self, name):
+        # users 1 and 2 from slot 4 (t = 1.0): the first call is at slot 4
+        requests = [req(1, 0.0, 9.0, 50.0), req(2, 1.0, 9.0, 50.0)]
+        with pytest.raises(ValueError, match=rf"^policy '{name}' chose inactive user 999 at slot 4$"):
+            run_tdm(requests, CHANNEL, ChoosesInactive(name), 0.25, seed=1)

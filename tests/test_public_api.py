@@ -14,7 +14,7 @@ import threading
 import pytest
 
 import laxsched
-from laxsched import cli
+from laxsched import cli, policies
 
 from helpers import modules_after, scipy_modules_after
 
@@ -157,6 +157,12 @@ def test_readme_names_every_subcommand():
         a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert set(re.findall(r"`([a-z-]+)`", sentence)) == examples == set(subparsers.choices)
+
+
+def test_readme_names_the_held_policies():
+    # the TDM bullet's "Held policies:" sentence names exactly policies.HELD
+    (sentence,) = re.findall(r"Held policies:(.*?)\.", (ROOT / "README.md").read_text(), re.S)
+    assert set(re.findall(r"`([a-z-]+)`", sentence)) == policies.HELD
 
 
 def test_example_configs_load(monkeypatch):
