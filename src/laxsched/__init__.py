@@ -28,8 +28,6 @@ from .engine import (
     UltTracker,
     UserOutcome,
     least_laxity_limit,
-    least_laxity_set,
-    laxity_order_check,
     least_laxity_floor,
     run_fluid,
     run_fluid_batch,

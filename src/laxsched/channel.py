@@ -70,6 +70,7 @@ class ChannelModel:
     mean_sinr: float = 1.0
     spectral_efficiency: float = field(init=False)
     mean_rate_bps: float = field(init=False)
+    rate_scale: float = field(init=False)  # a draw g has rate log1p(g) * rate_scale
 
     def __post_init__(self) -> None:
         if not 0.0 < self.bandwidth_hz < math.inf:
@@ -77,11 +78,14 @@ class ChannelModel:
         se = mean_spectral_efficiency(self.mean_sinr)
         object.__setattr__(self, "spectral_efficiency", se)
         object.__setattr__(self, "mean_rate_bps", self.bandwidth_hz * se)
+        object.__setattr__(self, "rate_scale", 1.0 / (_LN2 * se))
 
 
 def sample_normalized_rates(
     model: ChannelModel, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n i.i.d. draws of B*log2(1+g)/mean_rate; nonnegative with mean 1."""
-    gammas = rng.exponential(model.mean_sinr, size=n)
-    return np.log1p(gammas) / (_LN2 * model.spectral_efficiency)
+    """n i.i.d. draws of B*log2(1+g)/mean_rate; nonnegative with mean 1.
+    Decoded with math.log1p, bit for bit as run_tdm serves them (np.log1p's
+    SIMD path can differ in the last bit; a product is correctly rounded)."""
+    gammas = rng.exponential(model.mean_sinr, size=n).tolist()
+    return np.fromiter(map(math.log1p, gammas), float, len(gammas)) * model.rate_scale

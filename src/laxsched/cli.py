@@ -170,7 +170,6 @@ class ExperimentConfig:
     arrival_spread: float
     rate: float | None
     horizon: float | None
-    sweep_variable: str  # deadline | stretch
     sweep_values: tuple[float, ...]
     policies: tuple[str, ...]
     framework_overrides: dict[str, float]
@@ -275,7 +274,6 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         arrival_spread=spread,
         rate=rate,
         horizon=horizon,
-        sweep_variable=sweep_variable,
         sweep_values=sweep_values,
         policies=policies,
         framework_overrides=overrides,

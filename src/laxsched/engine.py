@@ -2,9 +2,10 @@
 
 Two modes, never mixed in one run: the fluid polymatroid mode (every active
 user served simultaneously at its marginal gain) and the TDM mode (one user
-per slot at its sampled instantaneous rate). The fluid mode can additionally
-track the used-to-be-less-than relation, the least-laxity set, and the
-per-slot laxity bounds.
+per slot at its sampled instantaneous rate). A traced fluid run also tracks
+the used-to-be-less-than relation, one ``UltTracker.step`` per slot, for the
+least-laxity set and the laxity-order violations; ``least_laxity_floor`` and
+``least_laxity_limit`` bound the least laxity from the set's initial ones.
 
 The fluid mode has two loops with bit-identical outcomes, each the faster
 one for its callers. ``run_fluid`` steps one run in plain Python and is the
@@ -47,8 +48,6 @@ __all__ = [
     "TraceRecord",
     "UserOutcome",
     "SimReport",
-    "least_laxity_set",
-    "laxity_order_check",
     "least_laxity_floor",
     "least_laxity_limit",
     "run_fluid",
@@ -56,24 +55,21 @@ __all__ = [
     "run_tdm",
 ]
 
-_LN2 = math.log(2.0)
-
-
 class UltTracker:
     """Pairwise "used-to-be-less-than" history with its transitive closure.
 
     ult(a, b) is set once a's virtual laxity was <= b's at any slot boundary
     so far, and never cleared. iult is reachability through such pairs. The
-    diagonal is always set (a laxity is <= itself).
+    diagonal is always set (a laxity is <= itself). ``step`` is the only
+    mutator; ``ult`` and ``iult`` read the relation.
 
     Layout: every user owns one bit, numbered in the order users were first
     seen. Three lists indexed by that bit position hold int masks: the users
     a holds ult towards (``_direct``), the users a reaches (``_down``, iult
-    from a) and the users reaching b (``_up``, iult into b). A slot's update
-    sorts its laxities once and ORs each user's at-or-above suffix into its
-    direct mask; the closure grows only by the newly set bits. ``reaching``
-    returns one frozenset per distinct mask, cached. ``direct_pairs`` yields
-    a in first-seen order, then b in first-seen order.
+    from a) and the users reaching b (``_up``, iult into b). A step sorts its
+    laxities once and ORs each user's at-or-above suffix into its direct
+    mask; the closure grows only by the newly set bits. A least-laxity set is
+    one frozenset per distinct ``_up`` mask, cached.
     """
 
     __slots__ = ("_index", "_ids", "_direct", "_down", "_up", "_missing", "_sets")
@@ -88,19 +84,44 @@ class UltTracker:
         self._missing = 0
         self._sets: dict[int, frozenset[int]] = {}  # mask -> its user ids
 
-    def users(self) -> list[int]:
-        return sorted(self._ids)
+    def step(
+        self, virtual_laxities: Mapping[int, float], limit: float
+    ) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
+        """One slot on one sort. Fold the laxities in (each user gains ult
+        towards every user at or above its laxity, both ways on ties) and
+        return the least-laxity user (smallest id on ties), the least-laxity
+        set (every user reaching it) and the order violations: the pairs
+        (a, b) with ult(a, b) and la - lb > limit, sorted.
 
-    def ensure(self, uid: int) -> None:
-        if uid not in self._index:
-            pos = len(self._ids)
+        ``virtual_laxities`` must be nonempty and list every user seen so
+        far, in the order first seen, before any new user; an arrival-
+        ordered map of every arrived user does."""
+        if not virtual_laxities:
+            raise ValueError("step needs at least one user's laxity")
+        uids = list(virtual_laxities)
+        ids = self._ids
+        seen = len(ids)
+        if uids[:seen] != ids:
+            raise ValueError("laxities must list the known users first, in first-seen order")
+        for pos in range(seen, len(uids)):  # a new user: its own bit, set on the diagonal
             self._missing += 2 * pos
-            self._index[uid] = pos
-            self._ids.append(uid)
-            bit = 1 << pos
-            self._direct.append(bit)
-            self._down.append(bit)
-            self._up.append(bit)
+            self._index[uids[pos]] = pos
+            ids.append(uids[pos])
+            for masks in (self._direct, self._down, self._up):
+                masks.append(1 << pos)
+        ranked = sorted(zip(virtual_laxities.values(), uids, range(len(uids))))
+        self._fold(ranked)
+        return ranked[0][1], self._members(self._up[ranked[0][2]]), self._violations(ranked, limit)
+
+    def ult(self, a: int, b: int) -> bool:
+        return self._has(self._direct, a, b)
+
+    def iult(self, a: int, b: int) -> bool:
+        return self._has(self._down, a, b)
+
+    def _has(self, masks: list[int], a: int, b: int) -> bool:
+        pa, pb = self._index.get(a), self._index.get(b)
+        return pa is not None and pb is not None and bool(masks[pa] >> pb & 1)
 
     def _members(self, mask: int) -> frozenset[int]:
         members = self._sets.get(mask)
@@ -109,14 +130,13 @@ class UltTracker:
             members = self._sets[mask] = frozenset(ids[p] for p in _bits(mask))
         return members
 
-    def _fold(self, ranked: list[tuple[float, int, int]], everyone: int) -> None:
+    def _fold(self, ranked: list[tuple[float, int, int]]) -> None:
         """Give every ranked user ult towards each ranked user at or above
-        its laxity: everyone (the mask of the ranked users) except the tie
-        groups strictly below it."""
+        its laxity: every user except the tie groups strictly below it."""
         if not self._missing:  # every pair already holds both ways
             return
         direct = self._direct
-        at_or_above = everyone
+        at_or_above = (1 << len(ranked)) - 1
         group = 0
         prev = None
         for lax, _, a in ranked:
@@ -184,58 +204,6 @@ class UltTracker:
         found.sort()
         return found
 
-    def _step(
-        self, virtual_laxities: Mapping[int, float], limit: float
-    ) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
-        """One traced slot on one sort: fold the laxities in and return the
-        least-laxity user (smallest id on ties), the users reaching it and
-        the order violations. ``virtual_laxities`` must list every user seen
-        so far, in the order first seen, before any new user; an arrival-
-        ordered map of every arrived user does."""
-        uids = list(virtual_laxities)
-        seen = len(self._ids)
-        if uids[:seen] != self._ids:
-            raise ValueError("laxities must list the known users first, in first-seen order")
-        for uid in uids[seen:]:
-            self.ensure(uid)
-        n = len(uids)
-        ranked = sorted(zip(virtual_laxities.values(), uids, range(n)))
-        self._fold(ranked, (1 << n) - 1)
-        star = ranked[0][1]
-        return star, self._members(self._up[ranked[0][2]]), self._violations(ranked, limit)
-
-    def update(self, virtual_laxities: Mapping[int, float]) -> None:
-        """Fold one slot's laxities into the relation: each user gains ult
-        towards every user at or above its laxity (both ways on ties)."""
-        for uid in virtual_laxities:
-            self.ensure(uid)
-        index = self._index
-        ranked = sorted([(lax, uid, index[uid]) for uid, lax in virtual_laxities.items()])
-        self._fold(ranked, sum(1 << pos for _, _, pos in ranked))
-
-    def reaching(self, b: int) -> frozenset[int]:
-        """Every user a with iult(a, b), b itself included once known."""
-        pos = self._index.get(b)
-        return frozenset() if pos is None else self._members(self._up[pos])
-
-    def ult(self, a: int, b: int) -> bool:
-        return self._has(self._direct, a, b)
-
-    def iult(self, a: int, b: int) -> bool:
-        return self._has(self._down, a, b)
-
-    def _has(self, masks: list[int], a: int, b: int) -> bool:
-        pa, pb = self._index.get(a), self._index.get(b)
-        return pa is not None and pb is not None and bool(masks[pa] >> pb & 1)
-
-    def direct_pairs(self):
-        """Every ult(a, b) with a != b: a in first-seen order, then b in
-        first-seen order."""
-        ids = self._ids
-        for pa, mask in enumerate(self._direct):
-            for pb in _bits(mask & ~(1 << pa)):
-                yield ids[pa], ids[pb]
-
 
 def _bits(mask: int):
     """Positions of the set bits of mask, lowest first."""
@@ -243,37 +211,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def least_laxity_set(
-    tracker: UltTracker, virtual_laxities: Mapping[int, float]
-) -> frozenset[int]:
-    """The least-laxity user (smallest id on ties) plus everyone that
-    indirectly-used-to-be-less-than it."""
-    if not virtual_laxities:
-        raise ValueError("least_laxity_set needs at least one arrived user")
-    star = min(virtual_laxities, key=lambda u: (virtual_laxities[u], u))
-    return frozenset(virtual_laxities.keys() & tracker.reaching(star) | {star})
-
-
-def laxity_order_check(
-    tracker: UltTracker,
-    virtual_laxities: Mapping[int, float],
-    slot_length: float,
-    tol: float = 0.0,
-) -> list[tuple[int, int]]:
-    """Pairs (i1, i2) with i1 used-to-be-less-than i2 whose laxity difference
-    exceeds one slot length (plus tolerance), sorted by (i1, i2). Expected
-    empty under the fluid policy; nonempty output flags a violated invariant.
-
-    One sort of the laxities; a two-pointer walk over it gives the mask of
-    users far enough below each i1, ANDed with i1's direct mask. Users the
-    tracker has not seen have no pairs."""
-    index = tracker._index
-    ranked = sorted(
-        [(lax, uid, index[uid]) for uid, lax in virtual_laxities.items() if uid in index]
-    )
-    return tracker._violations(ranked, slot_length + tol)
 
 
 def least_laxity_floor(
@@ -428,7 +365,7 @@ def run_fluid(
 
         if record_trace and residual:
             laxities = {uid: deadline - left / g1 for uid, left in residual.items()}
-            star, lls, pairs = tracker._step(laxities, order_limit)
+            star, lls, pairs = tracker.step(laxities, order_limit)
             if pairs:
                 violations.extend((n, a, b) for a, b in pairs)
             trace.append(  # positional: keyword passing costs more than the record
@@ -596,12 +533,12 @@ def run_tdm(
     held = policy.name in HELD
     rng = generator_from(seed)
     mean_sinr = channel.mean_sinr
-    rate_scale = 1.0 / (_LN2 * channel.spectral_efficiency)
+    rate_scale = channel.rate_scale
     log1p = math.log1p
 
     def draw_rates() -> list[float]:
-        # one rate per draw, in draw order, or a held run's raw draws;
-        # math.log1p, not np.log1p, whose SIMD path can differ in the last bit
+        # one rate per draw, in draw order, or a held run's raw draws; the
+        # decode is channel.sample_normalized_rates', float for float
         gammas = rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
         return gammas if held else [log1p(g) * rate_scale for g in gammas]
 
@@ -641,9 +578,8 @@ def run_tdm(
             active = [active[i] for i in kept]
             dls = [dls[i] for i in kept]
             res = [res[i] for i in kept]
-            next_expiry = expiry_slot = min(dls, default=math.inf)
-            if next_expiry < math.inf:
-                expiry_slot = first_slot_at_or_after(next_expiry, slot_length)
+            next_expiry = min(dls, default=math.inf)
+            expiry_slot = _slot_of(next_expiry, slot_length)
 
         k = len(active)
         if k == 0:
@@ -684,8 +620,12 @@ def run_tdm(
                 left = left - rate * slot_length
                 n += 1
                 if left <= 0.0:
-                    del active[i], dls[i], res[i]
+                    d = dls.pop(i)
+                    del active[i], res[i]
                     outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
+                    if d == next_expiry:  # u held the earliest deadline
+                        next_expiry = min(dls, default=math.inf)
+                        expiry_slot = _slot_of(next_expiry, slot_length)
                     break
                 if n == stop:
                     res[i] = left
@@ -719,6 +659,11 @@ def run_tdm(
         n += 1
 
     return SimReport(outcomes=outcomes, trace=trace)
+
+
+def _slot_of(expiry: float, slot_length: float) -> float:
+    """The first slot at or after an expiry time; inf for no expiry."""
+    return math.inf if expiry == math.inf else first_slot_at_or_after(expiry, slot_length)
 
 
 def _not_active(policy, choice, n: int) -> ValueError:

@@ -40,6 +40,9 @@ __all__ = [
     "subset_capacity",
 ]
 
+_TOL = 1e-9  # a margin down to -_TOL still reads feasible
+_MARGIN_BAND = 1e-6  # |margin| at or below this is flagged borderline
+
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
@@ -154,15 +157,11 @@ def _most_overloaded(sizes: np.ndarray, cost: np.ndarray, t: float) -> list[int]
     return members[::-1]
 
 
-def feasible(
-    problem: FeasibilityProblem,
-    tol: float = 1e-9,
-    margin_band: float = 1e-6,
-) -> FeasibilityResult:
+def feasible(problem: FeasibilityProblem) -> FeasibilityResult:
     """Decide schedulability; a feasible verdict builds its replayable
     witness when first read, an infeasible one carries a certificate.
 
-    Instances with |margin| <= margin_band are flagged borderline: they sit
+    Instances with |margin| <= _MARGIN_BAND are flagged borderline: they sit
     too close to the capacity boundary for any finite slot length to resolve.
     """
     reqs = sorted(problem.requests, key=lambda r: r.arrival_time)
@@ -188,7 +187,7 @@ def feasible(
         members = _most_overloaded(sizes, cost, rho)
 
     margin = rho - 1.0
-    is_feasible = margin >= -tol
+    is_feasible = margin >= -_TOL
     certificate = None
     if not is_feasible:
         members = _most_overloaded(sizes, cost, 1.0)
@@ -200,7 +199,7 @@ def feasible(
             capacity=cap,
         )
     return FeasibilityResult(
-        is_feasible, margin, abs(margin) <= margin_band, certificate, problem
+        is_feasible, margin, abs(margin) <= _MARGIN_BAND, certificate, problem
     )
 
 

@@ -360,16 +360,22 @@ def reference_write_trace(path, report) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def checkout_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's
+    laxsched."""
+    src = str(pathlib.Path(laxsched.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def modules_after(code: str, *names: str) -> list[str]:
     """The loaded modules that are one of ``names`` or inside one, once
     ``code`` has run in a fresh interpreter that imports this checkout's
     laxsched."""
-    src = str(pathlib.Path(laxsched.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     report = (
         f"import sys, json; names = {names!r}; print(json.dumps(sorted("
         "m for m in sys.modules if any(m == n or m.startswith(n + '.') for n in names))))"
     )
+    env = checkout_env()
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])

@@ -109,6 +109,14 @@ class TestSampling:
         b = sample_normalized_rates(m, generator_from(77), 1000)
         assert (a == b).all()
 
+    def test_each_draw_decodes_by_rate_scale(self):
+        # the decode run_tdm serves: math.log1p(g) * rate_scale, bit for bit
+        m = ChannelModel(mean_sinr=2.0)
+        assert m.rate_scale == 1.0 / (math.log(2.0) * m.spectral_efficiency)
+        draws = generator_from(3).exponential(2.0, size=4096).tolist()
+        rates = sample_normalized_rates(m, generator_from(3), 4096).tolist()
+        assert rates == [math.log1p(g) * m.rate_scale for g in draws]
+
     def test_vector_matches_scalar_transform(self):
         m = ChannelModel(mean_sinr=2.0)
         draws = [0.3, 1.7, 4.2]

@@ -1,7 +1,7 @@
 """Tooling checks against stale names: every exported name resolves, every
 name the demos import from laxsched exists, and the README's config keys and
-subcommands are the CLI's. The demos are parsed, not run, because some of them take many
-seconds."""
+subcommands are the CLI's. Demos 01-03 also run as subprocesses and must exit
+0; demo 04 takes many seconds, so it is only parsed."""
 
 import argparse
 import ast
@@ -9,6 +9,8 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -16,11 +18,12 @@ import pytest
 import laxsched
 from laxsched import cli, policies
 
-from helpers import modules_after, scipy_modules_after
+from helpers import checkout_env, modules_after, scipy_modules_after
 
 ROOT = pathlib.Path(__file__).parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(laxsched.__path__) if m.name != "__main__")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+QUICK_DEMOS = [d for d in DEMOS if d.name[:2] in ("01", "02", "03")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,6 +56,20 @@ def test_demo_imports_exist(demo):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert not missing, f"{demo.name} imports undefined names {missing}"
+
+
+def test_quick_demos_found():
+    assert len(QUICK_DEMOS) == 3
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    out = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=checkout_env(), timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    if demo.name.startswith("01"):
+        assert "laxity-order violations: 0\n" in out.stdout
 
 
 def test_import_loads_no_scipy():
