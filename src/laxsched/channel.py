@@ -85,7 +85,9 @@ def sample_normalized_rates(
     model: ChannelModel, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n i.i.d. draws of B*log2(1+g)/mean_rate; nonnegative with mean 1.
-    Decoded with math.log1p, bit for bit as run_tdm serves them (np.log1p's
-    SIMD path can differ in the last bit; a product is correctly rounded)."""
+    Each draw is decoded with math.log1p (np.log1p's SIMD path can differ in
+    the last bit; a product is correctly rounded). ``engine.run_tdm`` decodes
+    an unheld run's blocks with it, and a held run's served draws with the
+    same float operations."""
     gammas = rng.exponential(model.mean_sinr, size=n).tolist()
     return np.fromiter(map(math.log1p, gammas), float, len(gammas)) * model.rate_scale

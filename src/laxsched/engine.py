@@ -18,14 +18,18 @@ take 0.05 s. Tracing stays one run at a time because a run's trace is about
 2 MB: batching the 21 traced cells of a 15-user sweep would hold about 38 MB
 of trace at once.
 
-The TDM mode serves a held choice in one stretch of slots that ends at the
-next admission, at the first slot at or after the earliest active deadline
-or at the served user's completion. A lone active user is held without
-asking the policy (every built-in policy chooses a lone user of finite
-laxity), and a policy in ``policies.HELD`` is asked once per stretch.
-Channel rates are drawn in blocks from the run's generator, in the same
-order and with the same float operations as one draw per active user per
-slot, so a seed gives the same report whatever the block size.
+The TDM mode steps stretches of slots that end at the next admission, at
+the first slot at or after the earliest active deadline or at a completion.
+A lone active user is held without asking the policy (every built-in policy
+chooses a lone user of finite laxity), a policy in ``policies.HELD`` is
+asked once per stretch, and any other policy at every slot of it. Channel
+rates are drawn in blocks from the run's generator, in the same order and
+with the same float operations as one draw per active user per slot, so a
+seed gives the same report whatever the block size. A held run keeps its
+raw draws and decodes only the served user's. An unheld run reads blocks
+decoded by ``channel.sample_normalized_rates``; the first ``_SHARED_BLOCKS``
+of a (channel, seed) are decoded once and kept for the next run of the same
+pair, as the policies of one CLI cell share their channel seed.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .capacity import GainProfile
-from .channel import ChannelModel
+from .channel import ChannelModel, sample_normalized_rates
 from .core import DownloadRequest, FlowStatus, first_slot_at_or_after, validate_requests
 from .policies import HELD, _l2hpr_rates, _too_many_active
 from .seeding import generator_from
@@ -499,6 +504,36 @@ def run_fluid_batch(
 
 
 _RATE_BLOCK = 4096  # channel draws per refill of run_tdm's rate buffer
+_SHARED_BLOCKS = 32  # decoded blocks kept for the runs of one seed: 1 MiB
+
+
+@lru_cache(maxsize=1)
+def _shared_prefix(
+    channel: ChannelModel, seed: int, block: int
+) -> tuple[list[np.ndarray], np.random.Generator]:
+    """The blocks of one seed's decoded draws so far and the generator they
+    came from. The runs of a CLI cell share its channel and seed, so the
+    last key is the one the next run asks for."""
+    return [], generator_from(seed)
+
+
+def _decoded_blocks(channel: ChannelModel, seed: int):
+    """A run's decoded draws, one block of ``_RATE_BLOCK`` at a time, as
+    lists. The first ``_SHARED_BLOCKS`` are decoded once and shared by every
+    run of the same (channel, seed); later blocks are decoded privately from
+    a copy of the shared generator's state, so the cache stays capped."""
+    block = _RATE_BLOCK
+    shared, rng = _shared_prefix(channel, seed, block)
+    j = 0
+    while j < len(shared) or j < _SHARED_BLOCKS:
+        if j == len(shared):
+            shared.append(sample_normalized_rates(channel, rng, block))
+        yield shared[j].tolist()
+        j += 1
+    private = generator_from(seed)
+    private.bit_generator.state = rng.bit_generator.state
+    while True:
+        yield sample_normalized_rates(channel, private, block).tolist()
 
 
 def run_tdm(
@@ -514,10 +549,13 @@ def run_tdm(
     User ids must be distinct; deadlines may differ. Per slot: admit
     arrivals, drop expired users, draw one normalized rate per active user
     (ascending user id order), let the policy choose, and advance only the
-    chosen flow. A lone active user is served without asking the policy, and
-    a policy named in ``policies.HELD`` is asked once per stretch: both hold
-    their choice until the next admission, expiry slot or its completion.
-    Fixed seed gives a bit-identical report.
+    chosen flow. Slots run in stretches that end at the next admission, the
+    earliest active deadline's slot or a completion. A lone active user is
+    served without asking the policy, and a policy named in
+    ``policies.HELD`` is asked once per stretch; any other policy is asked
+    at every slot. Unheld runs of one (channel, seed) share the first
+    decoded blocks of their draws (``_decoded_blocks``). Fixed seed gives a
+    bit-identical report, whatever runs came before.
     """
     if not 0.0 < slot_length < math.inf:
         raise ValueError("slot_length must be finite and > 0")
@@ -531,16 +569,17 @@ def run_tdm(
     admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
     admit_slot.append(math.inf)  # no admission after the last request
     held = policy.name in HELD
-    rng = generator_from(seed)
-    mean_sinr = channel.mean_sinr
     rate_scale = channel.rate_scale
     log1p = math.log1p
+    if held:  # raw draws: a held stretch decodes only the served user's
+        rng, mean_sinr = generator_from(seed), channel.mean_sinr
 
-    def draw_rates() -> list[float]:
-        # one rate per draw, in draw order, or a held run's raw draws; the
-        # decode is channel.sample_normalized_rates', float for float
-        gammas = rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
-        return gammas if held else [log1p(g) * rate_scale for g in gammas]
+        def next_block() -> list[float]:
+            return rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
+
+    else:
+        next_block = _decoded_blocks(channel, seed).__next__
+    select = policy.select_arrays
 
     buf: list[float] = []  # drawn rates (raw if held); buf[pos] is the next one
     pos = 0
@@ -548,7 +587,7 @@ def run_tdm(
     active: list[int] = []
     dls: list[float] = []
     res: list[float] = []
-    # next_expiry is at or below every active deadline; expiry_slot its slot
+    # next_expiry is the earliest active deadline; expiry_slot its slot
     next_expiry = expiry_slot = math.inf
     n_requests = len(ordered)
     next_req = 0
@@ -588,25 +627,25 @@ def run_tdm(
             n = next_admit  # idle until the next admission
             continue
 
+        stop = min(next_admit, expiry_slot)
         if k == 1 or held:
-            # hold one choice to the next admission, expiry slot or completion
+            # hold one choice to the end of the stretch
             i = 0
             if k > 1:
                 while pos + k > len(buf):
-                    buf, pos = buf[pos:] + draw_rates(), 0
+                    buf, pos = buf[pos:] + next_block(), 0
                 laxities = [d - t - r for d, r in zip(dls, res)]
                 rates = [log1p(g) * rate_scale for g in buf[pos : pos + k]]
-                choice = policy.select_arrays(active, laxities, rates, dls)
+                choice = select(active, laxities, rates, dls)
                 try:
                     i = active.index(choice)
                 except ValueError:
                     raise _not_active(policy, choice, n) from None
             u, left = active[i], res[i]
-            stop = min(next_admit, expiry_slot)
             p, last = pos + i, len(buf) - k + i  # the served draw; a slot fits while p <= last
             while True:
                 while p > last:
-                    buf, p = buf[p - i :] + draw_rates(), i
+                    buf, p = buf[p - i :] + next_block(), i
                     last = len(buf) - k + i
                 rate = buf[p]
                 if held:
@@ -619,44 +658,49 @@ def run_tdm(
                     trace.append(TraceRecord(n, n * slot_length, residuals, virtual, None, None, u))
                 left = left - rate * slot_length
                 n += 1
-                if left <= 0.0:
-                    d = dls.pop(i)
-                    del active[i], res[i]
-                    outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
-                    if d == next_expiry:  # u held the earliest deadline
-                        next_expiry = min(dls, default=math.inf)
-                        expiry_slot = _slot_of(next_expiry, slot_length)
-                    break
-                if n == stop:
-                    res[i] = left
+                if left <= 0.0 or n == stop:
                     break
             pos = p - i
-            continue
-
-        while pos + k > len(buf):
-            buf, pos = buf[pos:] + draw_rates(), 0
-        rates = buf[pos : pos + k]
-        pos += k
-        laxities = [d - t - r for d, r in zip(dls, res)]
-        choice = policy.select_arrays(active, laxities, rates, dls)
-        try:
-            i = active.index(choice)
-        except ValueError:
-            if choice is not None:
-                raise _not_active(policy, choice, n) from None
-
-        if record_trace:
-            virtual = {u: d - r for u, d, r in zip(active, dls, res)}
-            trace.append(TraceRecord(n, t, dict(zip(active, res)), virtual, None, None, choice))
-
-        if choice is not None:
-            left = res[i] - rates[i] * slot_length
-            if left <= 0.0:
-                del active[i], dls[i], res[i]
-                outcomes[choice] = UserOutcome(choice, FlowStatus.COMPLETED, (n + 1) * slot_length)
-            else:
+            if left > 0.0:
                 res[i] = left
-        n += 1
+        else:
+            # ask the policy at every slot of the stretch
+            left = math.inf
+            last = len(buf) - k  # a slot's rates fit while pos <= last
+            while True:
+                while pos > last:
+                    buf, pos = buf[pos:] + next_block(), 0
+                    last = len(buf) - k
+                rates = buf[pos : pos + k]
+                pos += k
+                laxities = [d - t - r for d, r in zip(dls, res)]
+                choice = select(active, laxities, rates, dls)
+                try:
+                    i = active.index(choice)
+                except ValueError:
+                    if choice is not None:
+                        raise _not_active(policy, choice, n) from None
+                if record_trace:
+                    virtual = {v: d - r for v, d, r in zip(active, dls, res)}
+                    trace.append(TraceRecord(n, t, dict(zip(active, res)), virtual, None, None, choice))
+                n += 1
+                if choice is not None:
+                    left = res[i] - rates[i] * slot_length
+                    if left <= 0.0:
+                        break
+                    res[i] = left
+                if n == stop:
+                    break
+                t = n * slot_length
+
+        if left <= 0.0:  # the stretch ended at the completion of active[i]
+            u = active.pop(i)
+            d = dls.pop(i)
+            del res[i]
+            outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
+            if d == next_expiry:  # u held the earliest deadline
+                next_expiry = min(dls, default=math.inf)
+                expiry_slot = _slot_of(next_expiry, slot_length)
 
     return SimReport(outcomes=outcomes, trace=trace)
 

@@ -9,8 +9,10 @@ returns the user to serve (None for an empty queue). Every tie anywhere is
 broken by the smallest user id. Rates passed in here are already normalized
 (mean 1), so the default per-user weight kappa is 1. ``engine.run_tdm``
 serves a lone user itself, the choice every policy here makes for one user
-of finite laxity, and asks a policy named in ``HELD`` once per stretch of
-slots that ends at the next admission, expiry slot or completion.
+of finite laxity. It steps stretches of slots that end at the next
+admission, expiry slot or completion, and asks a policy named in ``HELD``
+once per stretch and any other at every slot. A framework policy binds its
+urgency's rule as ``select_arrays`` when it is built.
 """
 
 from __future__ import annotations
@@ -128,57 +130,80 @@ _URGENCIES = {"l-maxweight": MaxWeightUrgency, "l-exp": ExpUrgency, "l-log": Log
 
 
 class FrameworkPolicy:
-    """TDM policy: the framework rule with a fixed parameter set."""
+    """TDM policy: the framework rule with a fixed parameter set.
+
+    Among users with laxity >= delta pick the largest kappa*R*U(L); if none
+    remain, fall back to the highest kappa*R. With the clamped laxity
+    c = max(L, eps), written ``eps if eps > lax else lax``, U is c^(-alpha)
+    for l-maxweight, exp(-beta*c / (zeta + Lbar^eta)) for l-exp, where Lbar
+    is the mean of beta*c over the users at or above delta, and
+    1 / ln(zeta + beta*c) for l-log.
+
+    The urgency's rule is bound as ``select_arrays`` once, at construction.
+    """
 
     def __init__(self, params: FrameworkParams):
         self.params = params
         self.name = next(n for n, u in _URGENCIES.items() if type(params.urgency) is u)
+        self.select_arrays = getattr(self, _RULES[self.name])
 
-    def select_arrays(self, uids, laxities, rates, deadlines) -> int | None:
-        """Among users with laxity >= delta pick the largest kappa*R*U(L); if
-        none remain, fall back to the highest kappa*R.
+    def _maxweight(self, uids, laxities, rates, deadlines) -> int | None:
+        params = self.params
+        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        power = -params.urgency.alpha
+        best_uid, best_w = None, -math.inf
+        for u, lax, r in zip(uids, laxities, rates):
+            if lax >= delta:
+                w = kappa * r * (eps if eps > lax else lax) ** power
+                if w > best_w:
+                    best_w, best_uid = w, u
+        return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
 
-        With the clamped laxity c = max(L, eps), written ``eps if eps > lax
-        else lax``, U is c^(-alpha) for l-maxweight, exp(-beta*c / (zeta +
-        Lbar^eta)) for l-exp, where Lbar is the mean of beta*c over the users
-        at or above delta, and 1 / ln(zeta + beta*c) for l-log."""
+    def _exp(self, uids, laxities, rates, deadlines) -> int | None:
         params = self.params
         kappa, delta, eps = params.kappa, params.delta, params.epsilon
         urg = params.urgency
+        # An infinite laxity would make the group mean infinite and every
+        # weight inf/inf = NaN: such a user weighs 0 and stays out of the mean.
+        beta, inf = urg.beta, math.inf
+        scaled = [beta * (eps if eps > lax else lax) for lax in laxities if delta <= lax < inf]
+        scale = urg.zeta + (sum(scaled) / len(scaled)) ** urg.eta if scaled else inf
+        exp = math.exp
+        best_uid, best_w = None, -inf
+        for u, lax, r in zip(uids, laxities, rates):
+            if lax >= delta:
+                w = 0.0
+                if lax < inf:
+                    w = kappa * r * exp(-beta * (eps if eps > lax else lax) / scale)
+                if w > best_w:
+                    best_w, best_uid = w, u
+        return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
+
+    def _log(self, uids, laxities, rates, deadlines) -> int | None:
+        params = self.params
+        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        beta, zeta = params.urgency.beta, params.urgency.zeta
+        log = math.log
         best_uid, best_w = None, -math.inf
-        if isinstance(urg, MaxWeightUrgency):
-            power = -urg.alpha
-            for u, lax, r in zip(uids, laxities, rates):
-                if lax >= delta:
-                    w = kappa * r * (eps if eps > lax else lax) ** power
-                    if w > best_w:
-                        best_w, best_uid = w, u
-        elif isinstance(urg, ExpUrgency):
-            # An infinite laxity would make the group mean infinite and every
-            # weight inf/inf = NaN: such a user weighs 0 and stays out of the mean.
-            beta, inf = urg.beta, math.inf
-            scaled = [beta * (eps if eps > lax else lax) for lax in laxities if delta <= lax < inf]
-            scale = urg.zeta + (sum(scaled) / len(scaled)) ** urg.eta if scaled else inf
-            exp = math.exp
-            for u, lax, r in zip(uids, laxities, rates):
-                if lax >= delta:
-                    w = 0.0
-                    if lax < inf:
-                        w = kappa * r * exp(-beta * (eps if eps > lax else lax) / scale)
-                    if w > best_w:
-                        best_w, best_uid = w, u
-        else:
-            beta, zeta = urg.beta, urg.zeta
-            log = math.log
-            for u, lax, r in zip(uids, laxities, rates):
-                if lax >= delta:
-                    w = kappa * r * (1.0 / log(zeta + beta * (eps if eps > lax else lax)))
-                    if w > best_w:
-                        best_w, best_uid = w, u
-        if best_uid is not None or any(lax >= delta for lax in laxities):
-            return best_uid
-        weights = [kappa * r for r in rates]
+        for u, lax, r in zip(uids, laxities, rates):
+            if lax >= delta:
+                w = kappa * r * (1.0 / log(zeta + beta * (eps if eps > lax else lax)))
+                if w > best_w:
+                    best_w, best_uid = w, u
+        return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
+
+    def _fallback(self, uids, laxities, rates) -> int | None:
+        """No user weighed more than -inf: none if any laxity is at or above
+        delta, else the highest kappa*R."""
+        params = self.params
+        if any(lax >= params.delta for lax in laxities):
+            return None
+        weights = [params.kappa * r for r in rates]
         return uids[weights.index(max(weights))] if weights else None
+
+
+# Each framework policy's rule, by policy name.
+_RULES = {"l-maxweight": "_maxweight", "l-exp": "_exp", "l-log": "_log"}
 
 
 # The baselines take the first extreme that max and min return, found again

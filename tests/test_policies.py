@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -334,6 +335,22 @@ class TestPolicyObjects:
             p = make_policy(name)
             assert isinstance(p, FrameworkPolicy)
             assert p.name == name
+
+    def test_framework_policies_pickle(self):
+        # the rule is bound at construction; a copy binds it to itself
+        rng = np.random.default_rng(5)
+        for name in ("l-maxweight", "l-exp", "l-log"):
+            policy = make_policy(name)
+            copy = pickle.loads(pickle.dumps(policy))
+            assert copy.name == name and copy.params == policy.params
+            assert copy.select_arrays.__self__ is copy
+            for _ in range(50):
+                m = int(rng.integers(1, 6))
+                uids = list(range(1, m + 1))
+                lax = rng.uniform(-4.0, 9.0, size=m).tolist()
+                rates = rng.uniform(0.05, 3.0, size=m).tolist()
+                args = (uids, lax, rates, [9.0] * m)
+                assert copy.select_arrays(*args) == policy.select_arrays(*args)
 
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
