@@ -105,6 +105,10 @@ def _built(what: str, cls, *args, **kwargs):
 
 
 _FRAMEWORK = tuple(_URGENCIES)
+# The prefix of each framework policy's own policy.* keys, and the
+# parameters that every framework policy reads under their own names.
+_KEY_PREFIX = {"l-maxweight": "", "l-exp": "exp_", "l-log": "log_"}
+_SHARED = tuple(f.name for f in fields(FrameworkParams) if f.name != "urgency")
 
 # Every config key, and the runs that read it: "" every run; a traffic kind,
 # the runs of that traffic.kind; a tuple of policies, the runs listing one of
@@ -127,15 +131,12 @@ _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "size.mean_mb": "",
     "size.std_mb": "",
     "size.max_mb": "",
-    "policy.delta": _FRAMEWORK,
-    "policy.epsilon": _FRAMEWORK,
-    "policy.kappa": _FRAMEWORK,
-    "policy.alpha": ("l-maxweight",),
-    "policy.exp_beta": ("l-exp",),
-    "policy.exp_zeta": ("l-exp",),
-    "policy.exp_eta": ("l-exp",),
-    "policy.log_beta": ("l-log",),
-    "policy.log_zeta": ("l-log",),
+    **{f"policy.{key}": _FRAMEWORK for key in _SHARED},
+    **{
+        f"policy.{_KEY_PREFIX[name]}{f.name}": (name,)
+        for name, urgency in _URGENCIES.items()
+        for f in fields(urgency)
+    },
 }
 
 
@@ -162,18 +163,18 @@ def _reject_unread_keys(kv: dict[str, str], kind: str, policies) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep experiment: traffic family, policy list, sweep values."""
+    """One sweep experiment, built once from the config: for each sweep
+    value its traffic spec and slot length, for each listed policy its
+    framework parameters (None for a policy that takes none), and the size
+    law and channel that every cell shares."""
 
     mode: str  # fluid | tdm
     traffic_kind: str  # identical | stationary
-    user_count: int | None
-    arrival_spread: float
-    rate: float | None
-    horizon: float | None
     sweep_values: tuple[float, ...]
+    specs: tuple[IdenticalDeadlineSpec | StationaryArrivalSpec, ...]
+    slot_lengths: tuple[float, ...]
     policies: tuple[str, ...]
-    framework_overrides: dict[str, float]
-    slot_length: float | None
+    params: tuple[FrameworkParams | None, ...]
     replications: int
     law: FileSizeLaw
     channel: ChannelModel
@@ -219,14 +220,16 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     if list(sweep_values) != sorted(sweep_values):
         raise ConfigError("sweep.values must be sorted ascending")
 
+    # every sweep value's spec, checked before any run
     if kind == "identical":
         if sweep_variable != "deadline":
             raise ConfigError("identical traffic sweeps the deadline")
         user_count = _get(kv, "traffic.user_count", int)
         spread = _get(kv, "traffic.arrival_spread", float, 0.0)
-        rate = horizon = None
-        for value in sweep_values:  # every sweep value, checked before any run
-            _built(f"traffic at {value:g}", IdenticalDeadlineSpec, user_count, value, spread)
+        specs = tuple(
+            _built(f"traffic at {v:g}", IdenticalDeadlineSpec, user_count, v, spread)
+            for v in sweep_values
+        )
     else:
         if mode == "fluid":
             raise ConfigError("fluid mode needs identical-deadline traffic")
@@ -234,10 +237,10 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("stationary traffic sweeps the stretch factor")
         rate = _get(kv, "traffic.rate", float)
         horizon = _get(kv, "traffic.horizon", float)
-        user_count = None
-        spread = 0.0
-        for value in sweep_values:
-            _built(f"traffic at {value:g}", StationaryArrivalSpec, rate, value, horizon)
+        specs = tuple(
+            _built(f"traffic at {v:g}", StationaryArrivalSpec, rate, v, horizon)
+            for v in sweep_values
+        )
 
     channel = _built(
         "channel",
@@ -254,70 +257,52 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         mean_rate_bps=channel.mean_rate_bps,
     )
 
-    overrides = {
-        key.removeprefix("policy."): _get(kv, key, float)
-        for key, scope in _CONFIG_KEYS.items()
-        if isinstance(scope, tuple) and key in kv
-    }
-
     slot_length = _get(kv, "slot_length", float, 0.0)
     if not 0.0 <= slot_length < math.inf:
         raise ConfigError("slot_length must be finite and > 0 (omit or 0 for the default rule)")
-
-    for name in policies:
-        _built(f"parameters for {name}", _framework_params, name, overrides)
+    if slot_length:
+        slot_lengths = (slot_length,) * len(sweep_values)
+    elif mode == "fluid":
+        slot_lengths = tuple(1e-3 * v for v in sweep_values)  # deadline sweep
+    else:  # one slot is 1% of the mean flow service time
+        slot_lengths = (0.01 * law.mean_mb * law.norm_factor,) * len(sweep_values)
 
     return ExperimentConfig(
         mode=mode,
         traffic_kind=kind,
-        user_count=user_count,
-        arrival_spread=spread,
-        rate=rate,
-        horizon=horizon,
         sweep_values=sweep_values,
+        specs=specs,
+        slot_lengths=slot_lengths,
         policies=policies,
-        framework_overrides=overrides,
-        slot_length=slot_length or None,
+        params=tuple(
+            _built(f"parameters for {name}", _framework_params, name, kv) for name in policies
+        ),
         replications=replications,
         law=law,
         channel=channel,
     )
 
 
-# The prefix of each framework policy's own policy.* keys.
-_KEY_PREFIX = {"l-maxweight": "", "l-exp": "exp_", "l-log": "log_"}
-
-
-def _framework_params(name: str, overrides: dict[str, float]) -> FrameworkParams | None:
+def _framework_params(name: str, kv: dict[str, str]) -> FrameworkParams | None:
     """The framework parameters of policy ``name``: the published defaults
-    with the config's overrides applied; None for policies that take none."""
+    with the config's policy.* overrides applied; None for policies that take none."""
     if name not in _KEY_PREFIX:
         return None
-    urgency, prefix = _URGENCIES[name], _KEY_PREFIX[name]
-    own = {
-        f.name: overrides[prefix + f.name] for f in fields(urgency) if prefix + f.name in overrides
-    }
-    shared = {key: overrides[key] for key in ("delta", "epsilon", "kappa") if key in overrides}
-    return FrameworkParams(urgency(**own), **shared)
+    urgency = _URGENCIES[name]
+
+    def given(prefix: str, names) -> dict[str, float]:
+        """The values of the keys policy.<prefix><name> that the config sets."""
+        keys = {n: f"policy.{prefix}{n}" for n in names}
+        return {n: _get(kv, key, float) for n, key in keys.items() if key in kv}
+
+    own = given(_KEY_PREFIX[name], [f.name for f in fields(urgency)])
+    return FrameworkParams(urgency(**own), **given("", _SHARED))
 
 
-def _make_requests(config: ExperimentConfig, sweep_value: float, rng):
-    if config.traffic_kind == "identical":
-        spec = IdenticalDeadlineSpec(
-            config.user_count, sweep_value, config.arrival_spread
-        )
-        return gen_identical_deadline(spec, config.law, rng)
-    spec = StationaryArrivalSpec(config.rate, sweep_value, config.horizon)
-    return gen_stationary(spec, config.law, rng)
-
-
-def _slot_length(config: ExperimentConfig, sweep_value: float) -> float:
-    if config.slot_length:
-        return config.slot_length
-    if config.mode == "fluid":
-        return 1e-3 * sweep_value  # deadline sweep
-    # one slot is 1% of the mean flow service time
-    return 0.01 * config.law.mean_mb * config.law.norm_factor
+def _make_requests(config: ExperimentConfig, si: int, rng):
+    """The requests of one cell at sweep index ``si``."""
+    gen = gen_identical_deadline if config.traffic_kind == "identical" else gen_stationary
+    return gen(config.specs[si], config.law, rng)
 
 
 def _write_trace(path: str, report: SimReport) -> None:
@@ -353,9 +338,9 @@ def _write_trace(path: str, report: SimReport) -> None:
 
 def _cell_run(payload) -> tuple[list, float]:
     """A cell's requests and slot length."""
-    config, _, base_seed, si, sweep_value, rep, _ = payload
-    requests = _make_requests(config, sweep_value, child_generator(base_seed, si, rep, 0))
-    return requests, _slot_length(config, sweep_value)
+    config, _, base_seed, si, _, rep, _ = payload
+    requests = _make_requests(config, si, child_generator(base_seed, si, rep, 0))
+    return requests, config.slot_lengths[si]
 
 
 def _result(payload, name: str, report: SimReport) -> tuple:
@@ -378,14 +363,14 @@ def _run_cell(payload) -> list[tuple]:
     config, gains, base_seed, si, sweep_value, rep, trace_dir = payload
     requests, dt = _cell_run(payload)
     results = []
-    for name in config.policies:
+    for name, params in zip(config.policies, config.params):
         if name == "l2hpr":
             report = run_fluid(requests, gains, dt, record_trace=bool(trace_dir))
         else:
             report = run_tdm(
                 requests,
                 config.channel,
-                make_policy(name, _framework_params(name, config.framework_overrides)),
+                make_policy(name, params),
                 dt,
                 seed=child_seed(base_seed, si, rep, 1),
                 record_trace=bool(trace_dir),
@@ -420,7 +405,7 @@ def _payloads(config: ExperimentConfig, gains, base_seed: int, trace_dir=None) -
 def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
     gains = None
     if config.mode == "fluid":  # a batch never has more than user_count active
-        gains = diversity_gains(config.channel.mean_sinr, config.user_count)
+        gains = diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     payloads = _payloads(config, gains, base_seed, trace_dir)
@@ -446,7 +431,18 @@ def _map(fn, items: list, jobs: int, chunksize: int) -> list:
 
 
 def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, trace: bool) -> None:
-    trace_dir = f"{out_path}.traces" if trace else None
+    trace_dir = None
+    if trace:
+        # trace files name the sweep value with %g, and sorted values that
+        # print alike are neighbours
+        values = config.sweep_values
+        for low, high in zip(values, values[1:]):
+            if f"{low:g}" == f"{high:g}":
+                raise ConfigError(
+                    f"--trace would write sweep values {low!r} and {high!r} to the same "
+                    f"files {high:g}_rep*.csv; give values that differ under %g"
+                )
+        trace_dir = f"{out_path}.traces"
     lines = [RUN_HEADER]
     for cell in _run_cells(config, base_seed, jobs, trace_dir):
         for sweep_value, rep, seed, name, n, done, expired, sched in cell:
@@ -463,7 +459,7 @@ def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) ->
     """One verdict per cell, on the instance the cell's runs simulate."""
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
-    gains = diversity_gains(config.channel.mean_sinr, config.user_count)
+    gains = diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
     lines = [ORACLE_HEADER]
     for payload in _payloads(config, gains, base_seed):
         requests, _ = _cell_run(payload)

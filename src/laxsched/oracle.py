@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import GainProfile
-from .core import DownloadRequest, common_deadline, validate_requests
+from .core import DownloadRequest, validate_requests
 
 __all__ = [
     "FeasibilityProblem",
@@ -46,40 +46,36 @@ _MARGIN_BAND = 1e-6  # |margin| at or below this is flagged borderline
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Identical-deadline instance plus its epoch partition."""
+    """Identical-deadline instance: at least one request, distinct user ids,
+    one deadline, and no more users than the gain profile has gains for."""
 
     requests: tuple[DownloadRequest, ...]
     gains: GainProfile
-    epochs: tuple[float, ...]
 
     @classmethod
     def from_requests(
         cls, requests: Sequence[DownloadRequest], gains: GainProfile
     ) -> "FeasibilityProblem":
-        reqs = tuple(sorted(requests, key=lambda r: r.user_id))
-        if not reqs:
-            raise ValueError("need at least one request")
-        validate_requests(reqs, same_deadline=True)
-        deadline = reqs[0].deadline
-        if len(reqs) > gains.k_max:
-            raise ValueError(
-                f"{len(reqs)} users exceed gain profile k_max={gains.k_max}"
-            )
-        epochs = tuple(sorted({r.arrival_time for r in reqs} | {deadline}))
-        return cls(reqs, gains, epochs)
+        return cls(tuple(sorted(requests, key=lambda r: r.user_id)), gains)
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.epochs, self.epochs[1:]):
-            if not b > a:
-                raise ValueError("epochs must be strictly increasing")
-        if self.requests:
-            deadline = common_deadline(self.requests)
-            if self.epochs[-1] != deadline:
-                raise ValueError("last epoch must equal the common deadline")
+        if not self.requests:
+            raise ValueError("need at least one request")
+        validate_requests(self.requests, same_deadline=True)
+        if len(self.requests) > self.gains.k_max:
+            raise ValueError(
+                f"{len(self.requests)} users exceed gain profile k_max={self.gains.k_max}"
+            )
 
     @property
     def deadline(self) -> float:
-        return self.epochs[-1]
+        return self.requests[0].deadline
+
+    @cached_property
+    def epochs(self) -> tuple[float, ...]:
+        """The epoch partition: the distinct arrival times and the deadline,
+        ascending."""
+        return tuple(sorted({r.arrival_time for r in self.requests} | {self.deadline}))
 
 
 @dataclass(frozen=True)

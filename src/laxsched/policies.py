@@ -7,7 +7,9 @@ and one method, ``select_arrays(uids, laxities, rates, deadlines)``, which
 takes the active users as parallel sequences in ascending user-id order and
 returns the user to serve (None for an empty queue). Every tie anywhere is
 broken by the smallest user id. Rates passed in here are already normalized
-(mean 1), so the default per-user weight kappa is 1. ``engine.run_tdm``
+(mean 1). The framework rules take no per-user weight: the paper's weight
+kappa is one constant for every user here, and a factor common to every
+score changes no choice, so it is left out. ``engine.run_tdm``
 serves a lone user itself, the choice every policy here makes for one user
 of finite laxity. It steps stretches of slots that end at the next
 admission, expiry slot or completion, and asks a policy named in ``HELD``
@@ -82,21 +84,18 @@ Urgency = MaxWeightUrgency | ExpUrgency | LogUrgency
 @dataclass(frozen=True)
 class FrameworkParams:
     """Threshold delta splitting the queue into likely-completable and
-    likely-expired groups, the laxity clamp epsilon, the per-user weight
-    kappa, and the urgency function."""
+    likely-expired groups, the laxity clamp epsilon, and the urgency
+    function."""
 
     urgency: Urgency
     delta: float = -2.0
     epsilon: float = 1e-3
-    kappa: float = 1.0
 
     def __post_init__(self) -> None:
         if math.isnan(self.delta):
             raise ValueError("delta must not be NaN")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be > 0")
         if isinstance(self.urgency, LogUrgency):
             if self.urgency.zeta + self.urgency.beta * self.epsilon <= 1.0:
                 raise ValueError(
@@ -132,8 +131,9 @@ _URGENCIES = {"l-maxweight": MaxWeightUrgency, "l-exp": ExpUrgency, "l-log": Log
 class FrameworkPolicy:
     """TDM policy: the framework rule with a fixed parameter set.
 
-    Among users with laxity >= delta pick the largest kappa*R*U(L); if none
-    remain, fall back to the highest kappa*R. With the clamped laxity
+    Among users with laxity >= delta pick the largest R*U(L); if none
+    remain, fall back to the highest R. The paper's weight kappa is left
+    out, as the module docstring says. With the clamped laxity
     c = max(L, eps), written ``eps if eps > lax else lax``, U is c^(-alpha)
     for l-maxweight, exp(-beta*c / (zeta + Lbar^eta)) for l-exp, where Lbar
     is the mean of beta*c over the users at or above delta, and
@@ -149,19 +149,19 @@ class FrameworkPolicy:
 
     def _maxweight(self, uids, laxities, rates, deadlines) -> int | None:
         params = self.params
-        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        delta, eps = params.delta, params.epsilon
         power = -params.urgency.alpha
         best_uid, best_w = None, -math.inf
         for u, lax, r in zip(uids, laxities, rates):
             if lax >= delta:
-                w = kappa * r * (eps if eps > lax else lax) ** power
+                w = r * (eps if eps > lax else lax) ** power
                 if w > best_w:
                     best_w, best_uid = w, u
         return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
 
     def _exp(self, uids, laxities, rates, deadlines) -> int | None:
         params = self.params
-        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        delta, eps = params.delta, params.epsilon
         urg = params.urgency
         # An infinite laxity would make the group mean infinite and every
         # weight inf/inf = NaN: such a user weighs 0 and stays out of the mean.
@@ -174,32 +174,30 @@ class FrameworkPolicy:
             if lax >= delta:
                 w = 0.0
                 if lax < inf:
-                    w = kappa * r * exp(-beta * (eps if eps > lax else lax) / scale)
+                    w = r * exp(-beta * (eps if eps > lax else lax) / scale)
                 if w > best_w:
                     best_w, best_uid = w, u
         return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
 
     def _log(self, uids, laxities, rates, deadlines) -> int | None:
         params = self.params
-        kappa, delta, eps = params.kappa, params.delta, params.epsilon
+        delta, eps = params.delta, params.epsilon
         beta, zeta = params.urgency.beta, params.urgency.zeta
         log = math.log
         best_uid, best_w = None, -math.inf
         for u, lax, r in zip(uids, laxities, rates):
             if lax >= delta:
-                w = kappa * r * (1.0 / log(zeta + beta * (eps if eps > lax else lax)))
+                w = r * (1.0 / log(zeta + beta * (eps if eps > lax else lax)))
                 if w > best_w:
                     best_w, best_uid = w, u
         return best_uid if best_uid is not None else self._fallback(uids, laxities, rates)
 
     def _fallback(self, uids, laxities, rates) -> int | None:
         """No user weighed more than -inf: none if any laxity is at or above
-        delta, else the highest kappa*R."""
-        params = self.params
-        if any(lax >= params.delta for lax in laxities):
+        delta, else the highest R."""
+        if any(lax >= self.params.delta for lax in laxities):
             return None
-        weights = [params.kappa * r for r in rates]
-        return uids[weights.index(max(weights))] if weights else None
+        return uids[rates.index(max(rates))] if uids else None
 
 
 # Each framework policy's rule, by policy name.

@@ -14,7 +14,9 @@ from laxsched.cli import (
 )
 from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
-from laxsched.policies import make_policy
+from laxsched.policies import FrameworkParams, MaxWeightUrgency, make_policy
+from laxsched.seeding import child_generator, child_seed
+from laxsched.traffic import FileSizeLaw, StationaryArrivalSpec, gen_stationary
 
 from helpers import reference_write_trace
 
@@ -143,6 +145,9 @@ class TestStrictKeys:
         [
             ("policy.alpah = 7", "unknown config key 'policy.alpah'; did you mean 'policy.alpha'?"),
             ("slot_lenght = 0.5", "unknown config key 'slot_lenght'; did you mean 'slot_length'?"),
+            # one weight for every user scaled every score alike: no value
+            # of it changed a choice
+            ("policy.kappa = 2", "unknown config key 'policy.kappa'; did you mean 'policy.alpha'?"),
             (
                 "traffic.user_count = 99",
                 "traffic.user_count is read only when traffic.kind = identical, not stationary",
@@ -160,7 +165,8 @@ class TestStrictKeys:
             ("replications = 5", "line 10: 'replications' repeats line 8"),
         ],
         ids=[
-            "misspelt-override", "misspelt-key", "user-count", "spread", "gains", "alpha", "repeated"
+            "misspelt-override", "misspelt-key", "kappa", "user-count", "spread", "gains", "alpha",
+            "repeated",
         ],
     )
     def test_tdm_run_rejects(self, tmp_path, capsys, extra, message):
@@ -176,9 +182,79 @@ class TestStrictKeys:
 
     def test_override_read_by_a_listed_policy_accepted(self):
         text = tdm_config_text(**{"policy.alpha": "2", "policy.names": "l-maxweight,edf"})
-        assert build_experiment_config(parse_config_text(text)).framework_overrides == {
-            "alpha": 2.0
-        }
+        assert build_experiment_config(parse_config_text(text)).params == (
+            FrameworkParams(MaxWeightUrgency(alpha=2.0)),
+            None,
+        )
+
+
+# For each policy.* key: an override and one slot's laxities and rates of
+# users 1 and 2 on which every policy that reads the key serves a different
+# user with the override than with the published defaults.
+OVERRIDE_CASES = {
+    "policy.delta": ("0", [-1.0, 5.0], [1.0, 1.0]),
+    "policy.epsilon": ("100", [0.0, 50.0], [1.0, 1.2]),
+    "policy.alpha": ("0.5", [1.0, 2.0], [1.0, 1.5]),
+    "policy.exp_beta": ("0.001", [1.0, 10.0], [1.0, 1.2]),
+    "policy.exp_zeta": ("100", [1.0, 10.0], [1.0, 1.2]),
+    "policy.exp_eta": ("3", [20.0, 100.0], [1.0, 2.0]),
+    "policy.log_beta": ("1", [1.0, 10.0], [1.0, 1.5]),
+    "policy.log_zeta": ("1000", [1.0, 10.0], [1.0, 1.5]),
+}
+
+
+class TestOverridesChangeChoices:
+    """No policy.* key is a no-op: each changes a choice of every policy
+    that reads it, and a run writes what its overridden policy gives."""
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            (key, name)
+            for key, scope in cli._CONFIG_KEYS.items()
+            if isinstance(scope, tuple)
+            for name in scope
+        ],
+    )
+    def test_key_changes_a_choice(self, key, name):
+        value, laxities, rates = OVERRIDE_CASES[key]
+
+        def choice(**overrides):
+            text = tdm_config_text(**{"policy.names": name, **overrides})
+            (params,) = build_experiment_config(parse_config_text(text)).params
+            return make_policy(name, params).select_arrays([1, 2], laxities, rates, [9.0, 9.0])
+
+        assert {choice(), choice(**{key: value})} == {1, 2}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_override_reaches_the_run(self, tmp_path, jobs):
+        # stretch 1.5 at a slot of 0.5 s: the policies' choices decide who
+        # expires
+        overrides = {"policy.names": "l-maxweight", "sweep.values": "1.5,2", "replications": "3"}
+        counts = {}
+        for alpha in ("1", "3"):
+            out = tmp_path / f"alpha{alpha}.csv"
+            cfg = tmp_path / f"alpha{alpha}.txt"
+            cfg.write_text(tdm_config_text(**overrides, **{"policy.alpha": alpha}))
+            argv = ["run", "--config", str(cfg), "--out", str(out), "--seed", "4"]
+            assert main([*argv, "--jobs", str(jobs)]) == 0
+            counts[alpha] = [
+                tuple(int(x) for x in row.split(",")[4:7])
+                for row in out.read_text().splitlines()[1:]
+            ]
+        # tdm_config_text's traffic, channel and slot length
+        channel = ChannelModel()
+        law = FileSizeLaw(mean_rate_bps=channel.mean_rate_bps)
+        policy = make_policy("l-maxweight", FrameworkParams(MaxWeightUrgency(3.0)))
+        expected = []
+        for si, stretch in enumerate((1.5, 2.0)):
+            for rep in range(3):
+                spec = StationaryArrivalSpec(0.05, stretch, 400.0)
+                requests = gen_stationary(spec, law, child_generator(4, si, rep, 0))
+                report = run_tdm(requests, channel, policy, 0.5, seed=child_seed(4, si, rep, 1))
+                expected.append((report.n_users, report.n_completed, report.n_expired))
+        assert counts["3"] == expected
+        assert counts["1"] != expected
 
 
 class TestBadValues:
@@ -338,6 +414,27 @@ class TestCmdRun:
             traces[jobs] = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
         assert len(traces[1]) == cells
         assert traces[2] == traces[1]
+
+
+class TestTraceNames:
+    """Trace files name the sweep value with %g, so two values that print
+    alike would share them: each cell's trace once overwrote the other's."""
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [("60,60.0000001", "60.0 and 60.0000001"), ("50,60,60", "60.0 and 60.0")],
+        ids=["alike", "repeated"],
+    )
+    def test_values_printing_alike_rejected(self, tmp_path, capsys, values, named):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run.csv"
+        cfg.write_text(fluid_config_text(**{"sweep.values": values, "replications": "1"}))
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--trace"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"sweep values {named} " in err
+        assert not out.exists() and not (tmp_path / "run.csv.traces").exists()
+        # untraced, both cells are written as before
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + len(values.split(","))
 
 
 class TestCmdOracleCheck:

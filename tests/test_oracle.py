@@ -69,6 +69,21 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             problem([])
 
+    @pytest.mark.parametrize(
+        "reqs, message",
+        [
+            # the witness merged the two ids into one key, and replay failed it
+            ([req(1, 0.0, 1.0, 10.0), req(1, 0.0, 2.0, 10.0)], r"duplicate user_id\(s\) \[1\]"),
+            # these two raised IndexError inside feasible
+            ([req(i + 1, 0.0, 0.5, 10.0) for i in range(GAINS.k_max + 1)], "exceed gain profile"),
+            ([], "at least one request"),
+        ],
+        ids=["duplicate-ids", "too-many-users", "empty"],
+    )
+    def test_direct_construction_checked(self, reqs, message):
+        with pytest.raises(ValueError, match=message):
+            FeasibilityProblem(tuple(reqs), GAINS)
+
 
 class TestSingleUser:
     def test_feasible_iff_size_fits_window(self):
@@ -421,11 +436,11 @@ class TestStaggeredM12:
             "replications = 3",
         ])
         config = build_experiment_config(parse_config_text(text))
-        gains = diversity_gains(config.channel.mean_sinr, config.user_count)
+        gains = diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
         verdicts = []
-        for si, deadline in enumerate(config.sweep_values):
+        for si in range(len(config.sweep_values)):
             for rep in range(config.replications):
-                reqs = _make_requests(config, deadline, child_generator(7, si, rep, 0))
+                reqs = _make_requests(config, si, child_generator(7, si, rep, 0))
                 res = feasible(FeasibilityProblem.from_requests(reqs, gains))
                 rho = brute_force_rho(reqs, gains.gains)
                 assert abs(res.margin - (rho - 1.0)) <= 1e-12 * rho

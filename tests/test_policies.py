@@ -98,7 +98,6 @@ class TestFrameworkParams:
         p = FrameworkParams(urgency=LogUrgency())
         assert p.delta == -2.0
         assert p.epsilon == 1e-3
-        assert p.kappa == 1.0
         assert p.urgency.beta == 10.0 and p.urgency.zeta == 10.0
         assert ExpUrgency() == ExpUrgency(beta=0.05, zeta=1.0, eta=0.5)
         assert MaxWeightUrgency().alpha == 1.0
