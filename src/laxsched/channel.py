@@ -85,9 +85,9 @@ def sample_normalized_rates(
     model: ChannelModel, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n i.i.d. draws of B*log2(1+g)/mean_rate; nonnegative with mean 1.
-    Each draw is decoded with math.log1p (np.log1p's SIMD path can differ in
-    the last bit; a product is correctly rounded). ``engine.run_tdm`` decodes
-    an unheld run's blocks with it, and a held run's served draws with the
-    same float operations."""
-    gammas = rng.exponential(model.mean_sinr, size=n).tolist()
-    return np.fromiter(map(math.log1p, gammas), float, len(gammas)) * model.rate_scale
+    Each draw decodes as np.log1p(g) * rate_scale, to the same bits in a
+    block of any size as one at a time (the channel tests check it), which
+    ``engine.run_tdm`` relies on. numpy picks its log1p kernel by CPU
+    features, so the last bit may differ between CPUs, as a libm's log1p
+    may between platforms."""
+    return np.log1p(rng.exponential(model.mean_sinr, size=n)) * model.rate_scale

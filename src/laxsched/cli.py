@@ -219,6 +219,9 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("sweep.values must be nonempty")
     if list(sweep_values) != sorted(sweep_values):
         raise ConfigError("sweep.values must be sorted ascending")
+    for low, high in zip(sweep_values, sweep_values[1:]):
+        if low == high:
+            raise ConfigError(f"sweep.values must be strictly ascending; {high:g} is repeated")
 
     # every sweep value's spec, checked before any run
     if kind == "identical":

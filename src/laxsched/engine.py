@@ -22,14 +22,11 @@ The TDM mode steps stretches of slots that end at the next admission, at
 the first slot at or after the earliest active deadline or at a completion.
 A lone active user is held without asking the policy (every built-in policy
 chooses a lone user of finite laxity), a policy in ``policies.HELD`` is
-asked once per stretch, and any other policy at every slot of it. Channel
-rates are drawn in blocks from the run's generator, in the same order and
-with the same float operations as one draw per active user per slot, so a
-seed gives the same report whatever the block size. A held run keeps its
-raw draws and decodes only the served user's. An unheld run reads blocks
-decoded by ``channel.sample_normalized_rates``; the first ``_SHARED_BLOCKS``
-of a (channel, seed) are decoded once and kept for the next run of the same
-pair, as the policies of one CLI cell share their channel seed.
+asked once per stretch, and any other policy at every slot of it. Every
+run draws its channel rates from its own generator, in blocks decoded by
+``channel.sample_normalized_rates``: the same draws in the same order as one
+draw per active user per slot, each decoded alone, so a seed gives the same
+report whatever the block size.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -504,36 +500,6 @@ def run_fluid_batch(
 
 
 _RATE_BLOCK = 4096  # channel draws per refill of run_tdm's rate buffer
-_SHARED_BLOCKS = 32  # decoded blocks kept for the runs of one seed: 1 MiB
-
-
-@lru_cache(maxsize=1)
-def _shared_prefix(
-    channel: ChannelModel, seed: int, block: int
-) -> tuple[list[np.ndarray], np.random.Generator]:
-    """The blocks of one seed's decoded draws so far and the generator they
-    came from. The runs of a CLI cell share its channel and seed, so the
-    last key is the one the next run asks for."""
-    return [], generator_from(seed)
-
-
-def _decoded_blocks(channel: ChannelModel, seed: int):
-    """A run's decoded draws, one block of ``_RATE_BLOCK`` at a time, as
-    lists. The first ``_SHARED_BLOCKS`` are decoded once and shared by every
-    run of the same (channel, seed); later blocks are decoded privately from
-    a copy of the shared generator's state, so the cache stays capped."""
-    block = _RATE_BLOCK
-    shared, rng = _shared_prefix(channel, seed, block)
-    j = 0
-    while j < len(shared) or j < _SHARED_BLOCKS:
-        if j == len(shared):
-            shared.append(sample_normalized_rates(channel, rng, block))
-        yield shared[j].tolist()
-        j += 1
-    private = generator_from(seed)
-    private.bit_generator.state = rng.bit_generator.state
-    while True:
-        yield sample_normalized_rates(channel, private, block).tolist()
 
 
 def run_tdm(
@@ -553,9 +519,7 @@ def run_tdm(
     earliest active deadline's slot or a completion. A lone active user is
     served without asking the policy, and a policy named in
     ``policies.HELD`` is asked once per stretch; any other policy is asked
-    at every slot. Unheld runs of one (channel, seed) share the first
-    decoded blocks of their draws (``_decoded_blocks``). Fixed seed gives a
-    bit-identical report, whatever runs came before.
+    at every slot. Fixed seed gives a bit-identical report.
     """
     if not 0.0 < slot_length < math.inf:
         raise ValueError("slot_length must be finite and > 0")
@@ -569,19 +533,14 @@ def run_tdm(
     admit_slot = [first_slot_at_or_after(r.arrival_time, slot_length) for r in ordered]
     admit_slot.append(math.inf)  # no admission after the last request
     held = policy.name in HELD
-    rate_scale = channel.rate_scale
-    log1p = math.log1p
-    if held:  # raw draws: a held stretch decodes only the served user's
-        rng, mean_sinr = generator_from(seed), channel.mean_sinr
+    rng = generator_from(seed)
 
-        def next_block() -> list[float]:
-            return rng.exponential(mean_sinr, size=_RATE_BLOCK).tolist()
+    def next_block() -> list[float]:
+        return sample_normalized_rates(channel, rng, _RATE_BLOCK).tolist()
 
-    else:
-        next_block = _decoded_blocks(channel, seed).__next__
     select = policy.select_arrays
 
-    buf: list[float] = []  # drawn rates (raw if held); buf[pos] is the next one
+    buf: list[float] = []  # drawn rates; buf[pos] is the next one
     pos = 0
     # the active users' ids, deadlines and residuals, ascending id
     active: list[int] = []
@@ -635,8 +594,7 @@ def run_tdm(
                 while pos + k > len(buf):
                     buf, pos = buf[pos:] + next_block(), 0
                 laxities = [d - t - r for d, r in zip(dls, res)]
-                rates = [log1p(g) * rate_scale for g in buf[pos : pos + k]]
-                choice = select(active, laxities, rates, dls)
+                choice = select(active, laxities, buf[pos : pos + k], dls)
                 try:
                     i = active.index(choice)
                 except ValueError:
@@ -648,8 +606,6 @@ def run_tdm(
                     buf, p = buf[p - i :] + next_block(), i
                     last = len(buf) - k + i
                 rate = buf[p]
-                if held:
-                    rate = log1p(rate) * rate_scale
                 p += k
                 if record_trace:
                     res[i] = left

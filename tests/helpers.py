@@ -5,9 +5,12 @@ Everything here is computed by a different route than the implementation
 under test (closed forms, quadrature, or exhaustive enumeration), except
 one bit-for-bit reference kept from earlier code: ``reference_run_tdm``,
 the TDM slot loop as it was before the lone-user stretch and the rate
-buffer, for ``engine.run_tdm``. The ``urgency_*`` functions are the three
-framework urgencies written from their definitions, the reference that
-``policies.FrameworkPolicy``'s inline weights are tested against.
+buffer, for ``engine.run_tdm``. It decodes each slot's draws with
+``np.log1p`` on their own, so it agrees with the engine's block decode only
+while a block of draws decodes to the bits of its draws one slot at a time.
+The ``urgency_*`` functions are the three framework urgencies written from
+their definitions, the reference that ``policies.FrameworkPolicy``'s inline
+weights are tested against.
 """
 
 from __future__ import annotations
@@ -461,7 +464,7 @@ def reference_run_tdm(
             continue
 
         gammas = stream.take(len(active))
-        rates = [math.log1p(g) * rate_scale for g in gammas]
+        rates = (np.log1p(gammas) * rate_scale).tolist()
         laxities = [deadline_of[u] - t - residual[u] for u in active]
         choice = policy.select_arrays(
             active, laxities, rates, [deadline_of[u] for u in active]

@@ -110,16 +110,24 @@ class TestSampling:
         assert (a == b).all()
 
     def test_each_draw_decodes_by_rate_scale(self):
-        # the decode run_tdm serves: math.log1p(g) * rate_scale, bit for bit
+        # the decode run_tdm serves: np.log1p(g) * rate_scale, bit for bit
         m = ChannelModel(mean_sinr=2.0)
         assert m.rate_scale == 1.0 / (math.log(2.0) * m.spectral_efficiency)
         draws = generator_from(3).exponential(2.0, size=4096).tolist()
         rates = sample_normalized_rates(m, generator_from(3), 4096).tolist()
-        assert rates == [math.log1p(g) * m.rate_scale for g in draws]
+        assert rates == [float(np.log1p(g)) * m.rate_scale for g in draws]
 
     def test_vector_matches_scalar_transform(self):
         m = ChannelModel(mean_sinr=2.0)
         draws = [0.3, 1.7, 4.2]
         vec = sample_normalized_rates(m, _FixedDraws(list(draws)), 3)
         scalars = [sample_normalized_rates(m, _FixedDraws([d]), 1)[0] for d in draws]
-        assert np.allclose(vec, scalars, rtol=1e-15)
+        assert vec.tolist() == scalars
+
+    def test_block_decodes_as_its_draws_one_at_a_time(self):
+        # run_tdm's reports do not depend on its block size because of this
+        m = ChannelModel(mean_sinr=2.0)
+        draws = generator_from(8).exponential(2.0, size=4096).tolist()
+        block = sample_normalized_rates(m, _FixedDraws(draws), 4096).tolist()
+        singles = [sample_normalized_rates(m, _FixedDraws([d]), 1)[0] for d in draws]
+        assert block == singles

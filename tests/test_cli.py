@@ -92,6 +92,13 @@ class TestConfigValidation:
                 parse_config_text(fluid_config_text(**override))
             )
 
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_repeated_value_rejected_untraced(self, tmp_path, capsys, command):
+        text = fluid_config_text(**{"sweep.values": "50,60,60", "replications": "1"})
+        assert run_main(tmp_path, text, command) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: sweep.values must be strictly ascending; 60 is repeated\n"
+
     def test_fluid_requires_l2hpr_only(self):
         with pytest.raises(ConfigError):
             build_experiment_config(
@@ -418,23 +425,30 @@ class TestCmdRun:
 
 class TestTraceNames:
     """Trace files name the sweep value with %g, so two values that print
-    alike would share them: each cell's trace once overwrote the other's."""
+    alike would share them: each cell's trace once overwrote the other's.
+    A repeated value is rejected in every run; values that differ but
+    print alike only with --trace."""
 
     @pytest.mark.parametrize(
-        "values, named",
-        [("60,60.0000001", "60.0 and 60.0000001"), ("50,60,60", "60.0 and 60.0")],
+        "values, error, untraced_exit",
+        [
+            ("60,60.0000001", "sweep values 60.0 and 60.0000001 ", 0),
+            ("50,60,60", "sweep.values must be strictly ascending; 60 is repeated", 2),
+        ],
         ids=["alike", "repeated"],
     )
-    def test_values_printing_alike_rejected(self, tmp_path, capsys, values, named):
+    def test_values_printing_alike_rejected(self, tmp_path, capsys, values, error, untraced_exit):
         cfg, out = tmp_path / "cfg.txt", tmp_path / "run.csv"
         cfg.write_text(fluid_config_text(**{"sweep.values": values, "replications": "1"}))
         assert main(["run", "--config", str(cfg), "--out", str(out), "--trace"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"sweep values {named} " in err
+        assert err.startswith("config error: ") and error in err
         assert not out.exists() and not (tmp_path / "run.csv.traces").exists()
-        # untraced, both cells are written as before
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1 + len(values.split(","))
+        # untraced, distinct values are written as before
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == untraced_exit
+        assert out.exists() == (untraced_exit == 0)
+        if out.exists():
+            assert len(out.read_text().splitlines()) == 1 + len(values.split(","))
 
 
 class TestCmdOracleCheck:

@@ -532,12 +532,9 @@ class TestRunTdm:
             assert got == expected[: len(got)], seed
 
     def test_bit_identical_reports(self):
-        # a cold run decodes the seed's draws; the warm rerun reads them shared
         reqs = [req(1, 0.0, 3.0, 60.0), req(2, 4.0, 2.0, 50.0), req(3, 9.0, 4.0, 80.0)]
-        engine._shared_prefix.cache_clear()
         a = run_tdm(reqs, CHANNEL, make_policy("l-log"), 0.2, seed=7, record_trace=True)
         b = run_tdm(reqs, CHANNEL, make_policy("l-log"), 0.2, seed=7, record_trace=True)
-        assert engine._shared_prefix.cache_info().hits == 1
         assert a == b
 
     def test_one_user_served_per_nonempty_slot(self):
@@ -920,69 +917,42 @@ class CountingDecoder:
         return sample_normalized_rates(channel, rng, n)
 
 
-class TestSharedDraws:
-    """Unheld runs of one (channel, seed) read one shared decoded prefix of
-    the draws: no run order, cache state, cap or block size may change a
-    report."""
+class TestRateDraws:
+    """Every run of a seed reads the same decoded draws in the same order:
+    neither the runs before it nor the block size may change a report."""
 
-    # 7 users at once: with 3-draw blocks a slot's rates span refills
+    # 7 users at once: with 1- or 3-draw blocks a slot's rates span refills
     REQUESTS = [req(u, 0.0, 0.5 * u, 20.0) for u in range(1, 8)]
     # a stream of 120 users over about 3 blocks of 4096 draws
     STREAM = [req(u, 0.5 * u, 1.0 + u % 5, 0.5 * u + 6.0 + u % 7) for u in range(1, 121)]
 
-    def test_order_and_cache_state(self):
-        seed, dt = 11, 0.05
+    def test_run_history_never_changes_a_report(self):
+        seed, other, dt = 11, 12, 0.05
 
-        def run(name):
+        def run(name, seed=seed):
             return run_tdm(self.STREAM, CHANNEL, make_policy(name), dt, seed, True)
 
-        engine._shared_prefix.cache_clear()
-        run("edf")  # a held run keeps its raw draws out of the cache
-        assert engine._shared_prefix.cache_info().currsize == 0
         forward = {name: run(name) for name in POLICY_NAMES}
-        assert len(engine._shared_prefix(CHANNEL, seed, engine._RATE_BLOCK)[0]) >= 3
         backward = {name: run(name) for name in reversed(POLICY_NAMES)}
-        cold = {}
+        interleaved = {}
         for name in POLICY_NAMES:
-            engine._shared_prefix.cache_clear()
-            cold[name] = run(name)
+            run(name, other)
+            interleaved[name] = run(name)
         for name in POLICY_NAMES:
             ref = reference_run_tdm(self.STREAM, CHANNEL, make_policy(name), dt, seed, True)
-            for rep in (forward[name], backward[name], cold[name]):
+            for rep in (forward[name], backward[name], interleaved[name]):
                 assert same_run(rep, ref), name
 
-    @pytest.mark.parametrize("cap", [0, 1])
-    def test_past_the_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(engine, "_SHARED_BLOCKS", cap)
-        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
-        engine._shared_prefix.cache_clear()
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_never_changes_a_report(self, monkeypatch, block):
+        decoder = CountingDecoder()
+        monkeypatch.setattr(engine, "sample_normalized_rates", decoder)
+        monkeypatch.setattr(engine, "_RATE_BLOCK", block)
         for seed in range(5):
             for name in POLICY_NAMES:
                 args = (self.REQUESTS, CHANNEL, make_policy(name), 0.25, seed, True)
                 assert same_run(run_tdm(*args), reference_run_tdm(*args)), (seed, name)
-
-    def test_block_size_is_part_of_the_key(self, monkeypatch):
-        # an entry of 4096-draw blocks must not serve a run of 3-draw blocks,
-        # or the refill tests would stop covering refills
-        seed = 9
-        run_tdm(self.REQUESTS, CHANNEL, make_policy("llf"), 0.25, seed)
-        decoder = CountingDecoder()
-        monkeypatch.setattr(engine, "sample_normalized_rates", decoder)
-        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
-        args = (self.REQUESTS, CHANNEL, make_policy("llf"), 0.25, seed, True)
-        assert same_run(run_tdm(*args), reference_run_tdm(*args))
-        assert len(decoder.sizes) > 1 and set(decoder.sizes) == {3}
-
-    def test_cache_holds_at_most_the_cap(self, monkeypatch):
-        seed = 4
-        decoder = CountingDecoder()
-        monkeypatch.setattr(engine, "sample_normalized_rates", decoder)
-        monkeypatch.setattr(engine, "_SHARED_BLOCKS", 2)
-        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
-        engine._shared_prefix.cache_clear()
-        run_tdm(self.REQUESTS, CHANNEL, make_policy("l-exp"), 0.25, seed)
-        assert len(decoder.sizes) > 2  # the run read past the cap
-        assert len(engine._shared_prefix(CHANNEL, seed, 3)[0]) <= 2
+        assert len(decoder.sizes) > 1 and set(decoder.sizes) == {block}
 
 
 class TestBadInputs:
