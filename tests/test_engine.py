@@ -917,9 +917,10 @@ class CountingDecoder:
         return sample_normalized_rates(channel, rng, n)
 
 
-class TestRateDraws:
-    """Every run of a seed reads the same decoded draws in the same order:
-    neither the runs before it nor the block size may change a report."""
+class TestSharedDraws:
+    """Every run of a (channel, seed) reads the same decoded draws in the
+    same order: neither the runs before it nor the block size may change a
+    report."""
 
     # 7 users at once: with 1- or 3-draw blocks a slot's rates span refills
     REQUESTS = [req(u, 0.0, 0.5 * u, 20.0) for u in range(1, 8)]
@@ -944,7 +945,8 @@ class TestRateDraws:
                 assert same_run(rep, ref), name
 
     @pytest.mark.parametrize("block", [1, 3])
-    def test_block_size_never_changes_a_report(self, monkeypatch, block):
+    def test_past_the_cap(self, monkeypatch, block):
+        # a block caps what one decode holds; 7 users read past it every slot
         decoder = CountingDecoder()
         monkeypatch.setattr(engine, "sample_normalized_rates", decoder)
         monkeypatch.setattr(engine, "_RATE_BLOCK", block)
@@ -953,6 +955,18 @@ class TestRateDraws:
                 args = (self.REQUESTS, CHANNEL, make_policy(name), 0.25, seed, True)
                 assert same_run(run_tdm(*args), reference_run_tdm(*args)), (seed, name)
         assert len(decoder.sizes) > 1 and set(decoder.sizes) == {block}
+
+    def test_block_size_is_part_of_the_key(self, monkeypatch):
+        # a run of the seed with 4096-draw blocks before it must not change
+        # the draws a run of 3-draw blocks reads, nor the size it decodes
+        seed = 9
+        run_tdm(self.REQUESTS, CHANNEL, make_policy("llf"), 0.25, seed)
+        decoder = CountingDecoder()
+        monkeypatch.setattr(engine, "sample_normalized_rates", decoder)
+        monkeypatch.setattr(engine, "_RATE_BLOCK", 3)
+        args = (self.REQUESTS, CHANNEL, make_policy("llf"), 0.25, seed, True)
+        assert same_run(run_tdm(*args), reference_run_tdm(*args))
+        assert len(decoder.sizes) > 1 and set(decoder.sizes) == {3}
 
 
 class TestBadInputs:
