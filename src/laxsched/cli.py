@@ -3,11 +3,13 @@ the preset experiment families.
 
 Config files are flat ``key = value`` text with dotted sections and ``#``
 comments. Every key must be one that the config's run reads
-(``_CONFIG_KEYS``), and none may repeat. Results are CSV with a mandatory
-header, '.' decimals, and '\\n' line endings; identical (config, seed) pairs
-produce byte-identical output regardless of --jobs.
+(``_CONFIG_KEYS``), and none may repeat; the model keys are the fields of
+the model dataclasses, defaults included. Each subcommand declares only the
+flags it reads. Results are CSV with a mandatory header, '.' decimals, and
+'\\n' line endings; identical (config, seed) pairs produce byte-identical
+output regardless of --jobs.
 
-Exit codes: 0 success, 2 config error, 3 runtime error.
+Exit codes: 0 success, 2 config or usage error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
-from .capacity import diversity_gains
+from .capacity import GainProfile, diversity_gains
 from .channel import ChannelModel
 from .engine import SimReport, run_fluid, run_fluid_batch, run_tdm
 from .oracle import FeasibilityProblem, feasible
@@ -82,11 +84,9 @@ def load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _get(kv: dict[str, str], key: str, cast, default=None):
+def _get(kv: dict[str, str], key: str, cast):
     if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
+        raise ConfigError(f"missing config key {key!r}")
     try:
         value = cast(kv[key])
         if value != value:  # NaN, which no setting means
@@ -104,11 +104,38 @@ def _built(what: str, cls, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _fields(cls, *skip: str) -> tuple:
+    """The init fields of model dataclass cls, but those named in skip."""
+    return tuple(f for f in fields(cls) if f.init and f.name not in skip)
+
+
+_CAST = {"int": int, "float": float}  # a field's annotation -> its key's cast
+
+
+def _model_args(kv: dict[str, str], prefix: str, model_fields) -> dict:
+    """The arguments that the keys ``prefix + field name`` give, each cast
+    by its field's annotation. An unset key leaves its field's default, and
+    a field with no default needs its key."""
+    return {
+        f.name: _get(kv, prefix + f.name, _CAST[f.type])
+        for f in model_fields
+        if prefix + f.name in kv or f.default is MISSING
+    }
+
+
+# Each traffic kind's spec, the field of it that sweep.variable names, and
+# what that field is called in messages.
+_TRAFFIC = {
+    "identical": (IdenticalDeadlineSpec, "deadline", "deadline"),
+    "stationary": (StationaryArrivalSpec, "stretch", "stretch factor"),
+}
+_CHANNEL = _fields(ChannelModel)
+_SIZE = _fields(FileSizeLaw, "mean_rate_bps")  # the channel sets the rate
 _FRAMEWORK = tuple(_URGENCIES)
 # The prefix of each framework policy's own policy.* keys, and the
 # parameters that every framework policy reads under their own names.
 _KEY_PREFIX = {"l-maxweight": "", "l-exp": "exp_", "l-log": "log_"}
-_SHARED = tuple(f.name for f in fields(FrameworkParams) if f.name != "urgency")
+_SHARED = _fields(FrameworkParams, "urgency")
 
 # Every config key, and the runs that read it: "" every run; a traffic kind,
 # the runs of that traffic.kind; a tuple of policies, the runs listing one of
@@ -117,25 +144,23 @@ _SHARED = tuple(f.name for f in fields(FrameworkParams) if f.name != "urgency")
 _CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "mode": "",
     "traffic.kind": "",
-    "traffic.user_count": "identical",
-    "traffic.arrival_spread": "identical",
-    "traffic.rate": "stationary",
-    "traffic.horizon": "stationary",
+    **{
+        f"traffic.{f.name}": kind
+        for kind, (spec, swept, _) in _TRAFFIC.items()
+        for f in _fields(spec, swept)
+    },
     "sweep.variable": "",
     "sweep.values": "",
     "policy.names": "",
     "replications": "",
     "slot_length": "",
-    "channel.bandwidth_hz": "",
-    "channel.mean_sinr": "",
-    "size.mean_mb": "",
-    "size.std_mb": "",
-    "size.max_mb": "",
-    **{f"policy.{key}": _FRAMEWORK for key in _SHARED},
+    **{f"channel.{f.name}": "" for f in _CHANNEL},
+    **{f"size.{f.name}": "" for f in _SIZE},
+    **{f"policy.{f.name}": _FRAMEWORK for f in _SHARED},
     **{
         f"policy.{_KEY_PREFIX[name]}{f.name}": (name,)
         for name, urgency in _URGENCIES.items()
-        for f in fields(urgency)
+        for f in _fields(urgency)
     },
 }
 
@@ -186,7 +211,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     if mode not in ("fluid", "tdm"):
         raise ConfigError(f"mode must be fluid or tdm, got {mode!r}")
     kind = _get(kv, "traffic.kind", str)
-    if kind not in ("identical", "stationary"):
+    if kind not in _TRAFFIC:
         raise ConfigError(f"traffic.kind must be identical or stationary, got {kind!r}")
 
     policies = tuple(
@@ -224,43 +249,21 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"sweep.values must be strictly ascending; {high:g} is repeated")
 
     # every sweep value's spec, checked before any run
-    if kind == "identical":
-        if sweep_variable != "deadline":
-            raise ConfigError("identical traffic sweeps the deadline")
-        user_count = _get(kv, "traffic.user_count", int)
-        spread = _get(kv, "traffic.arrival_spread", float, 0.0)
-        specs = tuple(
-            _built(f"traffic at {v:g}", IdenticalDeadlineSpec, user_count, v, spread)
-            for v in sweep_values
-        )
-    else:
-        if mode == "fluid":
-            raise ConfigError("fluid mode needs identical-deadline traffic")
-        if sweep_variable != "stretch":
-            raise ConfigError("stationary traffic sweeps the stretch factor")
-        rate = _get(kv, "traffic.rate", float)
-        horizon = _get(kv, "traffic.horizon", float)
-        specs = tuple(
-            _built(f"traffic at {v:g}", StationaryArrivalSpec, rate, v, horizon)
-            for v in sweep_values
-        )
-
-    channel = _built(
-        "channel",
-        ChannelModel,
-        bandwidth_hz=_get(kv, "channel.bandwidth_hz", float, 800e3),
-        mean_sinr=_get(kv, "channel.mean_sinr", float, 1.0),
-    )
-    law = _built(
-        "size law",
-        FileSizeLaw,
-        mean_mb=_get(kv, "size.mean_mb", float, 2.0),
-        std_mb=_get(kv, "size.std_mb", float, 0.722),
-        max_mb=_get(kv, "size.max_mb", float, 5.0),
-        mean_rate_bps=channel.mean_rate_bps,
+    spec, swept, swept_name = _TRAFFIC[kind]
+    if mode == "fluid" and kind != "identical":
+        raise ConfigError("fluid mode needs identical-deadline traffic")
+    if sweep_variable != swept:
+        raise ConfigError(f"{kind} traffic sweeps the {swept_name}")
+    traffic = _model_args(kv, "traffic.", _fields(spec, swept))
+    specs = tuple(
+        _built(f"traffic at {v:g}", spec, **traffic, **{swept: v}) for v in sweep_values
     )
 
-    slot_length = _get(kv, "slot_length", float, 0.0)
+    channel = _built("channel", ChannelModel, **_model_args(kv, "channel.", _CHANNEL))
+    size = _model_args(kv, "size.", _SIZE)
+    law = _built("size law", FileSizeLaw, **size, mean_rate_bps=channel.mean_rate_bps)
+
+    slot_length = _get(kv, "slot_length", float) if "slot_length" in kv else 0.0
     if not 0.0 <= slot_length < math.inf:
         raise ConfigError("slot_length must be finite and > 0 (omit or 0 for the default rule)")
     if slot_length:
@@ -292,20 +295,18 @@ def _framework_params(name: str, kv: dict[str, str]) -> FrameworkParams | None:
     if name not in _KEY_PREFIX:
         return None
     urgency = _URGENCIES[name]
-
-    def given(prefix: str, names) -> dict[str, float]:
-        """The values of the keys policy.<prefix><name> that the config sets."""
-        keys = {n: f"policy.{prefix}{n}" for n in names}
-        return {n: _get(kv, key, float) for n, key in keys.items() if key in kv}
-
-    own = given(_KEY_PREFIX[name], [f.name for f in fields(urgency)])
-    return FrameworkParams(urgency(**own), **given("", _SHARED))
+    own = _model_args(kv, f"policy.{_KEY_PREFIX[name]}", _fields(urgency))
+    return FrameworkParams(urgency(**own), **_model_args(kv, "policy.", _SHARED))
 
 
-def _make_requests(config: ExperimentConfig, si: int, rng):
-    """The requests of one cell at sweep index ``si``."""
-    gen = gen_identical_deadline if config.traffic_kind == "identical" else gen_stationary
-    return gen(config.specs[si], config.law, rng)
+def _gains(config: ExperimentConfig) -> GainProfile:
+    """The gain table of a batch, which never has more than user_count active."""
+    return diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
+
+
+def _write_csv(path: str, lines: list[str]) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_trace(path: str, report: SimReport) -> None:
@@ -335,88 +336,84 @@ def _write_trace(path: str, report: SimReport) -> None:
                     "%s%d,%.12g,%.12g,0,%d"
                     % (head, uid, residuals[uid], laxities[uid], uid == decision)
                 )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
-def _cell_run(payload) -> tuple[list, float]:
-    """A cell's requests and slot length."""
-    config, _, base_seed, si, _, rep, _ = payload
-    requests = _make_requests(config, si, child_generator(base_seed, si, rep, 0))
-    return requests, config.slot_lengths[si]
+@dataclass(frozen=True)
+class _Cells:
+    """The (sweep index, replication) cells of one command, and what else each
+    reads: the config, the base seed, the gain table of fluid runs and oracle
+    checks, and a traced run's directory. _map hands the methods to workers."""
 
+    config: ExperimentConfig
+    base_seed: int
+    gains: GainProfile | None = None
+    trace_dir: str | None = None
 
-def _result(payload, name: str, report: SimReport) -> tuple:
-    """One policy's result tuple for a cell."""
-    _, _, base_seed, si, sweep_value, rep, _ = payload
-    return (
-        sweep_value,
-        rep,
-        child_seed(base_seed, si, rep),
-        name,
-        report.n_users,
-        report.n_completed,
-        report.n_expired,
-        report.schedulable,
-    )
+    def keys(self) -> list[tuple[int, int]]:
+        """Every cell, in output order."""
+        reps = range(self.config.replications)
+        return [(si, rep) for si in range(len(self.config.sweep_values)) for rep in reps]
 
+    def requests(self, cell: tuple[int, int]) -> list:
+        """The requests of a cell, which its runs and its verdict share."""
+        si, rep = cell
+        config = self.config
+        gen = gen_identical_deadline if config.traffic_kind == "identical" else gen_stationary
+        return gen(config.specs[si], config.law, child_generator(self.base_seed, si, rep, 0))
 
-def _run_cell(payload) -> list[tuple]:
-    """One (sweep value, replication) cell; returns per-policy result tuples."""
-    config, gains, base_seed, si, sweep_value, rep, trace_dir = payload
-    requests, dt = _cell_run(payload)
-    results = []
-    for name, params in zip(config.policies, config.params):
-        if name == "l2hpr":
-            report = run_fluid(requests, gains, dt, record_trace=bool(trace_dir))
-        else:
-            report = run_tdm(
-                requests,
-                config.channel,
-                make_policy(name, params),
-                dt,
-                seed=child_seed(base_seed, si, rep, 1),
-                record_trace=bool(trace_dir),
-            )
-        if trace_dir:
-            _write_trace(
-                os.path.join(trace_dir, f"{sweep_value:g}_rep{rep}_{name}.csv"), report
-            )
-        results.append(_result(payload, name, report))
-    return results
+    def result(self, cell: tuple[int, int], name: str, report: SimReport) -> tuple:
+        """One policy's result tuple for a cell."""
+        si, rep = cell
+        seed = child_seed(self.base_seed, si, rep)
+        counts = (report.n_users, report.n_completed, report.n_expired, report.schedulable)
+        return (self.config.sweep_values[si], rep, seed, name, *counts)
 
+    def run(self, cell: tuple[int, int]) -> list[tuple]:
+        """Every listed policy on one cell; returns per-policy result tuples."""
+        si, rep = cell
+        config, trace = self.config, bool(self.trace_dir)
+        requests, dt = self.requests(cell), config.slot_lengths[si]
+        results = []
+        for name, params in zip(config.policies, config.params):
+            if name == "l2hpr":
+                report = run_fluid(requests, self.gains, dt, record_trace=trace)
+            else:
+                seed = child_seed(self.base_seed, si, rep, 1)
+                policy = make_policy(name, params)
+                report = run_tdm(requests, config.channel, policy, dt, seed, record_trace=trace)
+            if trace:
+                csv_name = f"{config.sweep_values[si]:g}_rep{rep}_{name}.csv"
+                _write_trace(os.path.join(self.trace_dir, csv_name), report)
+            results.append(self.result(cell, name, report))
+        return results
 
-def _run_fluid_cells(payloads) -> list[list[tuple]]:
-    """Untraced fluid cells, stepped together by one run_fluid_batch call.
-    Fluid mode runs only l2hpr, so one report serves each listed policy."""
-    reports = run_fluid_batch([_cell_run(p) for p in payloads], payloads[0][1])
-    return [
-        [_result(p, name, report) for name in p[0].policies]
-        for p, report in zip(payloads, reports)
-    ]
+    def run_fluid(self, cells: list[tuple[int, int]]) -> list[list[tuple]]:
+        """Untraced fluid cells, stepped together by one run_fluid_batch call.
+        Fluid mode runs only l2hpr, so one report serves each listed policy."""
+        runs = [(self.requests(cell), self.config.slot_lengths[cell[0]]) for cell in cells]
+        return [
+            [self.result(cell, name, report) for name in self.config.policies]
+            for cell, report in zip(cells, run_fluid_batch(runs, self.gains))
+        ]
 
-
-def _payloads(config: ExperimentConfig, gains, base_seed: int, trace_dir=None) -> list[tuple]:
-    """One payload per (sweep value, replication) cell, in output order."""
-    return [
-        (config, gains, base_seed, si, sweep_value, rep, trace_dir)
-        for si, sweep_value in enumerate(config.sweep_values)
-        for rep in range(config.replications)
-    ]
+    def verdict(self, cell: tuple[int, int]) -> str:
+        """The oracle-check row of a cell, on the instance its runs simulate."""
+        si, rep = cell
+        verdict = feasible(FeasibilityProblem.from_requests(self.requests(cell), self.gains))
+        flags = f"{int(verdict.feasible)},{int(verdict.borderline)}"
+        return f"{self.config.sweep_values[si]:.12g},{rep},{flags}"
 
 
 def _run_cells(config: ExperimentConfig, base_seed: int, jobs: int, trace_dir=None):
-    gains = None
-    if config.mode == "fluid":  # a batch never has more than user_count active
-        gains = diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-    payloads = _payloads(config, gains, base_seed, trace_dir)
+    gains = _gains(config) if config.mode == "fluid" else None
+    cells = _Cells(config, base_seed, gains, trace_dir)
+    keys = cells.keys()
     if config.mode == "fluid" and not trace_dir:
-        size = min(_FLUID_BATCH, -(-len(payloads) // jobs))
-        chunks = [payloads[i : i + size] for i in range(0, len(payloads), size)]
-        return [cell for cells in _map(_run_fluid_cells, chunks, jobs, 1) for cell in cells]
-    return _map(_run_cell, payloads, jobs, 8)
+        size = min(_FLUID_BATCH, -(-len(keys) // jobs))
+        chunks = [keys[i : i + size] for i in range(0, len(keys), size)]
+        return [result for results in _map(cells.run_fluid, chunks, jobs, 1) for result in results]
+    return _map(cells.run, keys, jobs, 8)
 
 
 def _map(fn, items: list, jobs: int, chunksize: int) -> list:
@@ -446,6 +443,7 @@ def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, 
                     f"files {high:g}_rep*.csv; give values that differ under %g"
                 )
         trace_dir = f"{out_path}.traces"
+        os.makedirs(trace_dir, exist_ok=True)
     lines = [RUN_HEADER]
     for cell in _run_cells(config, base_seed, jobs, trace_dir):
         for sweep_value, rep, seed, name, n, done, expired, sched in cell:
@@ -454,23 +452,15 @@ def cmd_run(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int, 
                 f"{sweep_value:.12g},{rep},{seed},{name},{n},{done},{expired},"
                 f"{int(sched)},{viol:.12g}"
             )
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out_path, lines)
 
 
-def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int) -> None:
+def cmd_oracle_check(config: ExperimentConfig, out_path: str, base_seed: int, jobs: int = 1) -> None:
     """One verdict per cell, on the instance the cell's runs simulate."""
     if config.traffic_kind != "identical":
         raise ConfigError("oracle-check needs identical-deadline traffic")
-    gains = diversity_gains(config.channel.mean_sinr, config.specs[0].user_count)
-    lines = [ORACLE_HEADER]
-    for payload in _payloads(config, gains, base_seed):
-        requests, _ = _cell_run(payload)
-        verdict = feasible(FeasibilityProblem.from_requests(requests, gains))
-        _, _, _, _, sweep_value, rep, _ = payload
-        lines.append(f"{sweep_value:.12g},{rep},{int(verdict.feasible)},{int(verdict.borderline)}")
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cells = _Cells(config, base_seed, _gains(config))
+    _write_csv(out_path, [ORACLE_HEADER, *_map(cells.verdict, cells.keys(), jobs, 8)])
 
 
 _FIG_SWEEP_D = (60.0, 100.0, 140.0, 180.0, 220.0, 260.0, 300.0)
@@ -512,16 +502,12 @@ def _preset_configs(figure_id: str, replications: int) -> list[ExperimentConfig]
 def cmd_reproduce(
     figure_id: str, out_path: str, base_seed: int, jobs: int, replications: int
 ) -> None:
-    if figure_id not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    configs = _preset_configs(figure_id, replications)
     # aggregate per (sweep value, policy), in config/policy order
     totals: dict[tuple[float, str], list[int]] = {}
-    for config in configs:
+    for config in _preset_configs(figure_id, replications):
         for cell in _run_cells(config, base_seed, jobs):
             for sweep_value, rep, seed, name, n, done, expired, sched in cell:
-                key = (sweep_value, name)
-                agg = totals.setdefault(key, [0, 0, 0, 0])
+                agg = totals.setdefault((sweep_value, name), [0, 0, 0, 0])
                 agg[0] += 1
                 agg[1] += int(sched)
                 agg[2] += n
@@ -538,8 +524,7 @@ def cmd_reproduce(
             reps, _, users, expired = totals[(sweep_value, name)]
             viol = expired / users if users else 0.0
             lines.append(f"{sweep_value:.12g},{name},{reps},{users},{expired},{viol:.12g}")
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out_path, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -548,23 +533,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deadline-aware flow-level wireless scheduling experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, help="base seed (u64, default 0)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-        p.add_argument("--trace", action="store_true", help="write per-slot traces")
-
     p_run = sub.add_parser("run", help="run a sweep experiment to CSV")
-    common(p_run)
-
     p_oracle = sub.add_parser("oracle-check", help="per-instance schedulability CSV")
-    common(p_oracle)
-
     p_rep = sub.add_parser("reproduce", help="run a preset experiment family")
     p_rep.add_argument("figure_id", choices=FIGURE_IDS)
-    common(p_rep)
+    # each command declares only the flags it reads
+    for p in (p_run, p_oracle):
+        p.add_argument("--config", required=True, help="flat key=value config file")
+    for p in (p_run, p_oracle, p_rep):
+        p.add_argument("--out", required=True, help="output path")
+        p.add_argument("--seed", type=int, default=0, help="base seed (u64, default 0)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_run.add_argument("--trace", action="store_true", help="write per-slot traces")
     p_rep.add_argument(
         "--replications",
         type=int,
@@ -576,30 +556,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = 0 if args.seed is None else args.seed
     try:
-        if not 0 <= seed < 2**64:
+        if not 0 <= args.seed < 2**64:
             raise ConfigError("--seed must fit in 64 unsigned bits")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        # reject the flags a command would otherwise ignore
-        if args.trace and args.command != "run":
-            raise ConfigError(f"--trace applies only to run, not {args.command}")
-        if args.jobs > 1 and args.command == "oracle-check":
-            raise ConfigError("oracle-check runs serially; --jobs must be 1")
-        if args.config and args.command == "reproduce":
-            raise ConfigError("reproduce runs fixed presets and takes no --config")
-        if not args.config and args.command in ("run", "oracle-check"):
-            raise ConfigError(f"{args.command} needs --config")
-        kv = load_config(args.config) if args.config else {}
         if args.command == "run":
-            cmd_run(build_experiment_config(kv), args.out, seed, args.jobs, args.trace)
+            config = build_experiment_config(load_config(args.config))
+            cmd_run(config, args.out, args.seed, args.jobs, args.trace)
         elif args.command == "oracle-check":
-            cmd_oracle_check(build_experiment_config(kv), args.out, seed)
-        elif args.command == "reproduce":
+            config = build_experiment_config(load_config(args.config))
+            cmd_oracle_check(config, args.out, args.seed, args.jobs)
+        else:
             if args.replications < 1:
                 raise ConfigError("--replications must be >= 1")
-            cmd_reproduce(args.figure_id, args.out, seed, args.jobs, args.replications)
+            cmd_reproduce(args.figure_id, args.out, args.seed, args.jobs, args.replications)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -180,28 +180,19 @@ class UltTracker:
         n = len(ranked)
         if n < 2 or not ranked[-1][0] - ranked[0][0] > limit:
             return []  # no pair is further apart than the whole spread
-        # ``below`` is a two-pointer window over the users more than limit
-        # below a. It is widened by a slack far above rounding error, so no
-        # pair can fall out of it, and each candidate is re-tested with the
-        # exact expression.
-        slack = 1e-12 * (abs(limit) + max(abs(ranked[0][0]), abs(ranked[-1][0])))
-        shift = limit - slack
-        direct = self._direct
+        # IEEE subtraction rounds monotonically, so the users b with
+        # la - lb > limit are a prefix of the ranking that only grows with a:
+        # ``below`` holds it, and every pair in it passes the exact test.
+        direct, ids = self._direct, self._ids
         found = []
         below = 0
         j = 0
-        lj = ranked[0][0]
         for la, a_uid, a in ranked:
-            edge = la - shift
-            while lj < edge:
+            while j < n and la - ranked[j][0] > limit:
                 below |= 1 << ranked[j][2]
                 j += 1
-                lj = ranked[j][0] if j < n else math.inf
-            candidates = direct[a] & below & ~(1 << a)
-            if candidates:
-                for lb, b_uid, b in ranked[:j]:
-                    if candidates >> b & 1 and la - lb > limit:
-                        found.append((a_uid, b_uid))
+            for b in _bits(direct[a] & below & ~(1 << a)):
+                found.append((a_uid, ids[b]))
         found.sort()
         return found
 
@@ -546,8 +537,6 @@ def run_tdm(
     active: list[int] = []
     dls: list[float] = []
     res: list[float] = []
-    # next_expiry is the earliest active deadline; expiry_slot its slot
-    next_expiry = expiry_slot = math.inf
     n_requests = len(ordered)
     next_req = 0
     next_admit = admit_slot[0]
@@ -560,13 +549,10 @@ def run_tdm(
                 active.insert(i, req.user_id)
                 dls.insert(i, req.deadline)
                 res.insert(i, req.initial_size)
-                if req.deadline < next_expiry:
-                    next_expiry = req.deadline
-                    expiry_slot = first_slot_at_or_after(next_expiry, slot_length)
                 next_req += 1
             next_admit = admit_slot[next_req]
         t = n * slot_length
-        if t >= next_expiry:
+        if active and t >= min(dls):
             kept = []
             for i, u in enumerate(active):
                 if t >= dls[i]:
@@ -576,8 +562,6 @@ def run_tdm(
             active = [active[i] for i in kept]
             dls = [dls[i] for i in kept]
             res = [res[i] for i in kept]
-            next_expiry = min(dls, default=math.inf)
-            expiry_slot = _slot_of(next_expiry, slot_length)
 
         k = len(active)
         if k == 0:
@@ -586,7 +570,7 @@ def run_tdm(
             n = next_admit  # idle until the next admission
             continue
 
-        stop = min(next_admit, expiry_slot)
+        stop = min(next_admit, _slot_of(min(dls), slot_length))
         if k == 1 or held:
             # hold one choice to the end of the stretch
             i = 0
@@ -651,12 +635,8 @@ def run_tdm(
 
         if left <= 0.0:  # the stretch ended at the completion of active[i]
             u = active.pop(i)
-            d = dls.pop(i)
-            del res[i]
+            del dls[i], res[i]
             outcomes[u] = UserOutcome(u, FlowStatus.COMPLETED, n * slot_length)
-            if d == next_expiry:  # u held the earliest deadline
-                next_expiry = min(dls, default=math.inf)
-                expiry_slot = _slot_of(next_expiry, slot_length)
 
     return SimReport(outcomes=outcomes, trace=trace)
 

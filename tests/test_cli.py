@@ -1,3 +1,7 @@
+import argparse
+import pathlib
+import re
+
 import pytest
 
 from laxsched import cli
@@ -16,7 +20,12 @@ from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
 from laxsched.policies import FrameworkParams, MaxWeightUrgency, make_policy
 from laxsched.seeding import child_generator, child_seed
-from laxsched.traffic import FileSizeLaw, StationaryArrivalSpec, gen_stationary
+from laxsched.traffic import (
+    FileSizeLaw,
+    IdenticalDeadlineSpec,
+    StationaryArrivalSpec,
+    gen_stationary,
+)
 
 from helpers import reference_write_trace
 
@@ -131,6 +140,29 @@ class TestConfigValidation:
     def test_negative_slot_length_rejected(self):
         with pytest.raises(ConfigError):
             build_experiment_config(parse_config_text(tdm_config_text(slot_length="-1")))
+
+    def test_unset_model_keys_take_the_dataclass_defaults(self):
+        # no channel.*, size.* or traffic.arrival_spread key: each model is
+        # built with its own defaults, which the CLI does not repeat
+        text = "\n".join(
+            line
+            for line in fluid_config_text().splitlines()
+            if not line.startswith("traffic.arrival_spread")
+        )
+        cfg = build_experiment_config(parse_config_text(text))
+        assert cfg.channel == ChannelModel()
+        assert cfg.law == FileSizeLaw(mean_rate_bps=ChannelModel().mean_rate_bps)
+        assert cfg.specs == tuple(IdenticalDeadlineSpec(4, d) for d in (50.0, 100.0, 200.0))
+
+    @pytest.mark.parametrize(
+        "kind, key", [("fluid", "traffic.user_count"), ("tdm", "traffic.rate")]
+    )
+    def test_required_model_key_missing(self, tmp_path, capsys, kind, key):
+        # a spec field with no default needs its key
+        text = fluid_config_text() if kind == "fluid" else tdm_config_text()
+        text = "\n".join(line for line in text.splitlines() if not line.startswith(key))
+        assert run_main(tmp_path, text) == 2
+        assert capsys.readouterr().err == f"config error: missing config key {key!r}\n"
 
 
 def run_main(tmp_path, text, command="run"):
@@ -494,9 +526,14 @@ class TestMainEntry:
         assert code == 0
         assert out.exists()
 
-    def test_missing_config_is_config_error(self, tmp_path):
-        code = main(["run", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_missing_config_is_usage_error(self, tmp_path, command):
+        # --config is required where it is read: argparse's usage error
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         code = main(
@@ -546,19 +583,35 @@ class TestMainEntry:
         [
             ["oracle-check", "--config", "CFG", "--trace"],
             ["reproduce", "fig3b", "--replications", "1", "--trace"],
-            ["oracle-check", "--config", "CFG", "--jobs", "2"],
             ["reproduce", "fig3b", "--replications", "1", "--config", "CFG"],
         ],
-        ids=["oracle-check-trace", "reproduce-trace", "oracle-check-jobs", "reproduce-config"],
+        ids=["oracle-check-trace", "reproduce-trace", "reproduce-config"],
     )
     def test_ignored_flags_rejected(self, tmp_path, capsys, argv):
+        # a command declares only the flags it reads: argparse's usage error
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(fluid_config_text())
         out = tmp_path / "x.csv"
         argv = [str(cfg) if a == "CFG" else a for a in argv]
-        assert main([*argv, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oracle_check_jobs_write_the_same_bytes(self, tmp_path):
+        # the verdict cells go through _map as run's cells do; --jobs 2 once
+        # exited 2 ("runs serially")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fluid_config_text())
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            argv = ["oracle-check", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 3 * 3
 
     @pytest.mark.parametrize("command", ["run", "oracle-check", "reproduce"])
     def test_jobs_one_accepted(self, tmp_path, command):
@@ -627,6 +680,66 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["gains", "--out", str(out)])
         assert exc.value.code == 2  # argparse invalid choice
+        assert not out.exists()
+
+
+def documented_flags() -> dict[str, set[str]]:
+    """The README's flag table: for each subcommand, the flags it takes."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (header,) = re.findall(r"^\| flag \|(.*)\|$", text, re.M)
+    commands = re.findall(r"`([a-z-]+)`", header)
+    flags: dict[str, set[str]] = {command: set() for command in commands}
+    for flag, cells in re.findall(r"^\| `(--[a-z]+)[^|]*\|(.*)\|$", text, re.M):
+        for command, cell in zip(commands, cells.split("|")):
+            if cell.strip():
+                flags[command].add(flag)
+    return flags
+
+
+FLAGS = documented_flags()
+# a valid command line of each subcommand without its optional flags, and the
+# value given to each flag (1 if not listed)
+BASE_ARGV = {
+    "run": ["run", "--config", "CFG"],
+    "oracle-check": ["oracle-check", "--config", "CFG"],
+    "reproduce": ["reproduce", "fig3b", "--replications", "1"],
+}
+FLAG_VALUE = {"--config": ["CFG"], "--trace": []}
+
+
+class TestFlags:
+    """Each subcommand declares exactly the flags that the README's table
+    gives it, and any other flag is an argparse usage error: a flag added
+    later must be declared on the commands that read it."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_parser_takes_the_documented_flags(self, command):
+        (subparsers,) = (
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        declared = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+        assert declared - {"-h", "--help"} == FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in sorted(FLAGS)
+            for flag in sorted(set().union(*FLAGS.values()) - FLAGS[command])
+        ],
+    )
+    def test_other_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "x.csv"
+        cfg.write_text(fluid_config_text(**{"sweep.values": "50", "replications": "1"}))
+        argv = [*BASE_ARGV[command], "--out", str(out)]
+        extra = [flag, *FLAG_VALUE.get(flag, ["1"])]
+        argv, extra = ([str(cfg) if a == "CFG" else a for a in v] for v in (argv, extra))
+        assert main(argv) == 0  # the command line is valid without the flag
+        out.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
 

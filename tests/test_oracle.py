@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from laxsched.capacity import GainProfile, diversity_gains
 from laxsched.channel import ChannelModel
-from laxsched.cli import _make_requests, build_experiment_config, main, parse_config_text
+from laxsched.cli import _Cells, build_experiment_config, main, parse_config_text
 from laxsched.core import DownloadRequest
 from laxsched.engine import run_fluid, run_tdm
 from laxsched.oracle import (
@@ -19,7 +19,7 @@ from laxsched.oracle import (
     subset_capacity,
 )
 from laxsched.policies import make_policy
-from laxsched.seeding import child_generator, generator_from
+from laxsched.seeding import generator_from
 from laxsched.traffic import FileSizeLaw, IdenticalDeadlineSpec, gen_identical_deadline
 
 from helpers import (
@@ -440,7 +440,7 @@ class TestStaggeredM12:
         verdicts = []
         for si in range(len(config.sweep_values)):
             for rep in range(config.replications):
-                reqs = _make_requests(config, si, child_generator(7, si, rep, 0))
+                reqs = _Cells(config, 7).requests((si, rep))
                 res = feasible(FeasibilityProblem.from_requests(reqs, gains))
                 rho = brute_force_rho(reqs, gains.gains)
                 assert abs(res.margin - (rho - 1.0)) <= 1e-12 * rho
